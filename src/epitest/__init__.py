@@ -12,7 +12,6 @@ from .approx import (
     GapRow,
     LowerBound,
     SandwichResult,
-    UpperBound,
     approx_solve_lower,
     approx_solve_upper,
     nested_grid_ladder,

@@ -21,13 +21,19 @@ from scipy.optimize import linprog
 
 from .beliefs import Belief
 from .errors import CoverageError, SizeCapError, ValidationError
-from .exact import AlphaSet, AlphaVector, _reachable_quarantines, evaluate, exact_backup
+from .exact import (
+    AlphaSet,
+    ValueFunction,
+    _backward_induction,
+    _reachable_quarantines,
+)
 from .model import (
     EMPTY_QUARANTINE,
     Quarantine,
-    _bits_matrix,
+    branches,
+    candidate_actions,
     infection_counts,
-    kernel_matrix,
+    outcome_indicator,
 )
 from .scenario import ScenarioConfig
 
@@ -69,9 +75,7 @@ class BeliefGrid:
 
     @classmethod
     def corners(cls, n: int) -> "BeliefGrid":
-        size = 1 << n
-        pts = [np.eye(size)[k] for k in range(size)]
-        return cls(n, pts, "corner")
+        return cls(n, list(np.eye(1 << n)), "corner")
 
     @classmethod
     def uniform_random(cls, n: int, r: int, seed: int) -> "BeliefGrid":
@@ -98,10 +102,7 @@ class BeliefGrid:
 
     @classmethod
     def corners_plus_random(cls, n: int, r: int, seed: int) -> "BeliefGrid":
-        base = cls.corners(n)
-        extra = cls.uniform_random(n, r, seed) if r > 0 else None
-        pts = base.points + (extra.points if extra else [])
-        return cls(n, pts, f"corner+uniform-random({r},seed={seed})")
+        return nested_grid_ladder(n, [r], seed)[0]
 
 
 def nested_grid_ladder(n: int, sizes: Sequence[int], seed: int):
@@ -135,41 +136,20 @@ def prune_at_points(aset: AlphaSet, grid: BeliefGrid) -> AlphaSet:
     return AlphaSet(vectors, t=aset.t, quarantine=aset.quarantine)
 
 
-@dataclass
-class UpperBound:
-    """Per-(stage, quarantine) pruned alpha sets; dominates the true value."""
-
-    n: int
-    horizon: int
-    grid: BeliefGrid
-    table: dict  # (t, frozenset) -> AlphaSet
-
-    def alpha_set(self, t: int, q: Quarantine = EMPTY_QUARANTINE) -> AlphaSet:
-        return self.table[(t, frozenset(q))]
-
-    def value(self, t: int, b, q: Quarantine = EMPTY_QUARANTINE) -> float:
-        return evaluate(self.alpha_set(t, q), b).value
-
-
-def approx_solve_upper(
-    cfg: ScenarioConfig, grid: BeliefGrid, max_n: int = DEFAULT_MAX_N
-) -> UpperBound:
-    """Backward recursion with sample-point pruning after every backup."""
+def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid, max_n: int):
     if cfg.n > max_n:
         raise SizeCapError(f"approximate solver capped at N <= {max_n}, got {cfg.n}")
     if grid.n != cfg.n:
         raise ValidationError("grid dimension does not match the scenario")
-    T = cfg.horizon
-    c = infection_counts(cfg.n)
-    table = {}
-    for q in _reachable_quarantines(cfg.n, T - 1):
-        table[(T, q)] = AlphaSet([AlphaVector(c.copy(), 0)], t=T, quarantine=q)
-    for t in range(T - 1, 0, -1):
-        g = cfg.graph_at(t)
-        nxt = {q: aset for (tt, q), aset in table.items() if tt == t + 1}
-        for q in _reachable_quarantines(cfg.n, t - 1):
-            table[(t, q)] = prune_at_points(exact_backup(nxt, g, q, cfg.p, cfg.lam), grid)
-    return UpperBound(cfg.n, T, grid, table)
+
+
+def approx_solve_upper(
+    cfg: ScenarioConfig, grid: BeliefGrid, max_n: int = DEFAULT_MAX_N
+) -> ValueFunction:
+    """Backward recursion with sample-point pruning after every backup; the
+    result dominates the true value function everywhere."""
+    _check_grid(cfg, grid, max_n)
+    return _backward_induction(cfg, prune=lambda aset: prune_at_points(aset, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +172,8 @@ class _HullInterpolator:
         self._a_eq = np.vstack([pts.T, np.ones(len(grid))])
         self._cache = {}
 
-    def _solve(self, b: np.ndarray, values: np.ndarray) -> float:
+    def value(self, b: np.ndarray, values: np.ndarray) -> float:
+        b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
         key = (values.tobytes(), np.round(b, 12).tobytes())
         hit = self._cache.get(key)
         if hit is not None:
@@ -209,9 +190,6 @@ class _HullInterpolator:
         out = float(-res.fun)
         self._cache[key] = out
         return out
-
-    def value(self, b: np.ndarray, values: np.ndarray) -> float:
-        return self._solve(np.asarray(b, dtype=float), np.asarray(values, dtype=float))
 
 
 @dataclass
@@ -233,23 +211,20 @@ class LowerBound:
         return self._interp.value(dense, self.grid_values(t, q))
 
 
-def _branch_children(bf: np.ndarray, g, q: Quarantine, u: int, p: float, n: int):
-    """(probability, next dense belief, next quarantine) per observation
-    branch of testing u from dense belief bf; single branch for u = 0."""
-    if u == 0:
-        P = kernel_matrix(g, q, q, p)
-        return [(1.0, P.T @ bf, q)]
-    bits = _bits_matrix(n)[:, u - 1]
-    p1 = float(bf @ bits)
+def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
+    """(probability, next dense belief, next quarantine) per branch in
+    ``branch_set`` (the :func:`branches` of action u) that some state in the
+    support of dense belief bf gives."""
     out = []
-    if p1 > 0.0:
-        pos = (bf * bits) / p1
-        P = kernel_matrix(g, q, q | {u}, p)
-        out.append((p1, P.T @ pos, q | {u}))
-    if p1 < 1.0:
-        neg = (bf * (1.0 - bits)) / (1.0 - p1)
-        P = kernel_matrix(g, q, q, p)
-        out.append((1.0 - p1, P.T @ neg, q))
+    for y, q_next, step in branch_set:
+        if y is None:
+            out.append((1.0, step.push(bf), q_next))
+            continue
+        p1 = float(bf @ outcome_indicator(n, u, 1))
+        prob = p1 if y else 1.0 - p1
+        part = bf * outcome_indicator(n, u, y)
+        if prob > 0.0 and part.any():
+            out.append((prob, step.push(part / prob), q_next))
     return out
 
 
@@ -261,10 +236,7 @@ def approx_solve_lower(
     Raises CoverageError (naming the belief) if some branch belief leaves the
     grid's convex hull; including all corners in the grid rules that out.
     """
-    if cfg.n > max_n:
-        raise SizeCapError(f"approximate solver capped at N <= {max_n}, got {cfg.n}")
-    if grid.n != cfg.n:
-        raise ValidationError("grid dimension does not match the scenario")
+    _check_grid(cfg, grid, max_n)
     T = cfg.horizon
     c = infection_counts(cfg.n)
     interp = _HullInterpolator(grid)
@@ -275,15 +247,14 @@ def approx_solve_lower(
     for t in range(T - 1, 0, -1):
         g = cfg.graph_at(t)
         for q in _reachable_quarantines(cfg.n, t - 1):
+            branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
             vals = np.empty(len(grid))
             for r, bf in enumerate(grid.points):
                 stage = float(bf @ c)
                 best = None
-                for u in range(0, cfg.n + 1):
-                    if u != 0 and u in q:
-                        continue
+                for u, branch_set in branch_sets.items():
                     cost = cfg.lam if u != 0 else 0.0
-                    for prob, child, q_next in _branch_children(bf, g, q, u, cfg.p, cfg.n):
+                    for prob, child, q_next in _branch_children(bf, u, branch_set, cfg.n):
                         cost += prob * interp.value(child, tables[(t + 1, q_next)])
                     if best is None or cost < best:
                         best = cost
@@ -317,16 +288,10 @@ class GapRow:
 class SandwichResult:
     """Both bounds plus the per-(stage, probe) gap report."""
 
-    upper: UpperBound
+    upper: ValueFunction
     lower: LowerBound
     rows: list
     violations: list  # rows where lower exceeded upper beyond tolerance
-
-    def gap_at(self, t: int, probe: int) -> float:
-        for row in self.rows:
-            if row.t == t and row.probe == probe:
-                return row.gap
-        raise KeyError((t, probe))
 
 
 def sandwich(

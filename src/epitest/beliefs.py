@@ -25,8 +25,8 @@ from .model import (
     EMPTY_QUARANTINE,
     Quarantine,
     SystemState,
-    infection_flows,
     _enumeration_cap,
+    dynamics,
 )
 
 SUM_TOLERANCE = 1e-9
@@ -122,6 +122,13 @@ def _prune(n: int, raw: dict) -> Belief:
 # ---------------------------------------------------------------------------
 
 
+def _check_observation(a: int, y: Optional[int]):
+    if a == 0 and y is not None:
+        raise ContractViolation("observation must be None when nobody is tested")
+    if a != 0 and y is None:
+        raise ContractViolation("a real test must come with a 0/1 outcome")
+
+
 def observation_likelihood(x, a: int, y: Optional[int]) -> float:
     """P(test outcome | hidden state): tests are noiseless.
 
@@ -129,12 +136,9 @@ def observation_likelihood(x, a: int, y: Optional[int]) -> float:
     testing individual a reveals its indicator exactly.
     """
     state = x if isinstance(x, SystemState) else SystemState.from_bits(x)
+    _check_observation(a, y)
     if a == 0:
-        if y is not None:
-            raise ContractViolation("observation must be None when nobody is tested")
         return 1.0
-    if y is None:
-        raise ContractViolation("a real test must come with a 0/1 outcome")
     if not 1 <= a <= state.n:
         raise ValidationError(f"tested vertex {a} outside [1, {state.n}]")
     return 1.0 if int(state.infected(a)) == int(y) else 0.0
@@ -146,12 +150,9 @@ def filter_observation(b: Belief, a: int, y: Optional[int]) -> Belief:
     Raises InconsistentObservationError when the outcome has zero
     probability under b.
     """
+    _check_observation(a, y)
     if a == 0:
-        if y is not None:
-            raise ContractViolation("observation must be None when nobody is tested")
         return b
-    if y is None:
-        raise ContractViolation("a real test must come with a 0/1 outcome")
     want = int(y)
     kept = {
         m: pr
@@ -183,20 +184,8 @@ def predict_belief(
     """
     if g.n_vertices != b.n:
         raise DimensionError(f"graph has {g.n_vertices} vertices, belief has {b.n}")
-    if q_edges is None:
-        q_edges = q
-    out: dict = {}
-    for mask, pr in b.probs.items():
-        flows = infection_flows(SystemState(mask, b.n), g, q_edges, q, p)
-        moved = 0.0
-        for k, fp in flows.items():
-            if fp <= 0.0:
-                continue
-            nxt = mask | (1 << (k - 1))
-            out[nxt] = out.get(nxt, 0.0) + pr * fp
-            moved += fp
-        out[mask] = out.get(mask, 0.0) + pr * (1.0 - moved)
-    return _prune(b.n, out)
+    step = dynamics(g, q if q_edges is None else q_edges, q, p)
+    return _prune(b.n, step.predict(b.probs))
 
 
 def belief_update(

@@ -44,10 +44,6 @@ def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--out-dir", default="out", help="directory for result files")
     sub.add_argument("--seed-override", type=int, default=None,
                      help="replace the scenario's base seed")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel Monte Carlo workers")
-    sub.add_argument("--edge-visibility", choices=("before", "after"), default="before",
-                     help="whether the policy sees the current active contact")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--policies", default="never,greedy",
                      help="comma list from never,random,open_loop,improved,greedy,lookahead,exact")
     sub.add_argument("--n-runs", type=int, default=1000)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="parallel Monte Carlo workers")
+    sub.add_argument("--edge-visibility", choices=("before", "after"), default="before",
+                     help="whether the policy sees the current active contact")
     sub.add_argument("--plan", default=None,
                      help="open-loop plan as comma-separated actions, e.g. 1,2,3,0")
 
@@ -87,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sub)
     sub.add_argument("--policy", default="greedy")
     sub.add_argument("--run-index", type=int, default=0)
+    sub.add_argument("--edge-visibility", choices=("before", "after"), default="before",
+                     help="whether the policy sees the current active contact")
     sub.add_argument("--plan", default=None)
     return parser
 
@@ -98,7 +100,7 @@ def _load(args):
     return cfg
 
 
-def _parse_plan(raw, cfg):
+def _parse_plan(raw):
     if raw is None:
         return None
     return OpenLoopPlan(tuple(int(tok) for tok in raw.split(",")))
@@ -125,8 +127,7 @@ def cmd_solve_exact(args) -> int:
 
 def cmd_solve_approx(args) -> int:
     cfg = _load(args)
-    seed = args.seed_override if args.seed_override is not None else cfg.seed
-    grid = BeliefGrid.corners_plus_random(cfg.n, args.grid_size, seed)
+    grid = BeliefGrid.corners_plus_random(cfg.n, args.grid_size, cfg.seed)
     ub = approx_solve_upper(cfg, grid)
     lb = approx_solve_lower(cfg, grid)
     b0 = cfg.initial_belief
@@ -144,7 +145,7 @@ def cmd_bench(args) -> int:
         scenario=cfg,
         policies=tuple(tok.strip() for tok in args.policies.split(",") if tok.strip()),
         n_runs=args.n_runs,
-        plan=_parse_plan(args.plan, cfg),
+        plan=_parse_plan(args.plan),
         workers=args.workers,
         edge_visibility=args.edge_visibility,
         seed_override=args.seed_override,
@@ -169,8 +170,6 @@ def cmd_sandwich(args) -> int:
         grid_sizes=tuple(int(tok) for tok in args.grid_sizes.split(",")),
         probe_count=args.probes,
         seed_override=args.seed_override,
-        workers=args.workers,
-        edge_visibility=args.edge_visibility,
     )
     rows = run_sandwich_report(spec)
     write_sandwich_report(rows, spec, Path(args.out_dir))
@@ -195,11 +194,8 @@ def cmd_sandwich(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = _load(args)
-    policy = make_policy(args.policy, cfg, plan=_parse_plan(args.plan, cfg))
-    seq = np.random.SeedSequence(
-        entropy=args.seed_override if args.seed_override is not None else cfg.seed,
-        spawn_key=(args.run_index,),
-    )
+    policy = make_policy(args.policy, cfg, plan=_parse_plan(args.plan))
+    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(args.run_index,))
     trace = run_episode(cfg, policy, seq, edge_visibility=args.edge_visibility)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,10 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, CoverageError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ValidationError, CoverageError, FileNotFoundError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SizeCapError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -27,9 +27,10 @@ from .model import (
     ContactGraph,
     EMPTY_QUARANTINE,
     Quarantine,
-    _bits_matrix,
+    branches,
+    candidate_actions,
     infection_counts,
-    kernel_matrix,
+    outcome_indicator,
 )
 from .scenario import ScenarioConfig
 
@@ -145,13 +146,12 @@ def exact_backup(
 
     ``next_sets`` is either a mapping {quarantine set -> AlphaSet} for stage
     t+1, or a single AlphaSet used for every observation branch (sufficient
-    for quarantine-free reasoning and the degenerate examples). Action 0 has
-    a single deterministic branch; testing u branches on the outcome, the
-    positive branch switching to quarantine q + {u} with the crossing along
-    the already-drawn contact blocked for the newly quarantined individual.
+    for quarantine-free reasoning and the degenerate examples). Each action
+    contributes the cross-sum, over its observation branches (see
+    :func:`branches`), of the branch's next-stage vectors pulled back one
+    step and restricted to the states that give its outcome.
     """
     n = g.n_vertices
-    size = 1 << n
 
     def next_for(qq: Quarantine) -> AlphaSet:
         if isinstance(next_sets, AlphaSet):
@@ -160,34 +160,24 @@ def exact_backup(
 
     stage_t = next_for(q).t - 1
     c = infection_counts(n)
-    bits = _bits_matrix(n)
 
+    backs = {}  # next quarantine (which fixes the branch's step) -> pulled-back set
     stacked = []
     actions = []
-
-    # action 0: no observation, plain kernel under q
-    P0 = kernel_matrix(g, q, q, p)
-    for vec in next_for(q).matrix():
-        stacked.append(c + P0 @ vec)
-        actions.append(0)
-
-    for u in range(1, n + 1):
-        if u in q:
-            continue  # testing a quarantined individual is never useful
-        q1 = q | {u}
-        P1 = kernel_matrix(g, q, q1, p)
-        mask1 = bits[:, u - 1]
-        mask0 = 1.0 - mask1
-        back1 = [mask1 * (P1 @ vec) for vec in next_for(q1).matrix()]
-        back0 = [mask0 * (P0 @ vec) for vec in next_for(q).matrix()]
-        base = c + lam
-        for b1 in back1:
-            for b0 in back0:
-                stacked.append(base + b1 + b0)
-                actions.append(u)
+    for u in candidate_actions(n, q):
+        rows = (c + lam if u else c)[None, :]
+        for y, q_next, step in branches(g, q, u, p):
+            if q_next not in backs:
+                backs[q_next] = step.back(next_for(q_next).matrix().T).T
+            back = backs[q_next]
+            if y is not None:
+                back = outcome_indicator(n, u, y) * back
+            rows = (rows[:, None, :] + back[None, :, :]).reshape(-1, len(c))
+        stacked.append(rows)
+        actions.append(np.full(len(rows), u))
 
     kept_rows, kept_actions = _canonical_prune(
-        np.asarray(stacked), np.asarray(actions)
+        np.concatenate(stacked), np.concatenate(actions)
     )
     vectors = [AlphaVector(r, a) for r, a in zip(kept_rows, kept_actions)]
     return AlphaSet(vectors, t=stage_t, quarantine=q)
@@ -249,6 +239,14 @@ def solve(
             f"(got N={cfg.n}, T={cfg.horizon}); use the approximate solver "
             "for larger instances"
         )
+    return _backward_induction(cfg)
+
+
+def _backward_induction(
+    cfg: ScenarioConfig, prune: Optional[Callable[[AlphaSet], AlphaSet]] = None
+) -> ValueFunction:
+    """The loop behind :func:`solve`; ``prune``, when given, is applied to
+    every backed-up set before the next stage uses it."""
     T = cfg.horizon
     c = infection_counts(cfg.n)
     table = {}
@@ -258,7 +256,8 @@ def solve(
         g = cfg.graph_at(t)
         nxt = {q: aset for (tt, q), aset in table.items() if tt == t + 1}
         for q in _reachable_quarantines(cfg.n, t - 1):
-            table[(t, q)] = exact_backup(nxt, g, q, cfg.p, cfg.lam)
+            aset = exact_backup(nxt, g, q, cfg.p, cfg.lam)
+            table[(t, q)] = aset if prune is None else prune(aset)
     return ValueFunction(cfg.n, T, table)
 
 

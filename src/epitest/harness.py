@@ -18,11 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .approx import nested_grid_ladder, sandwich
-from .beliefs import Belief
 from .errors import CoverageError, SizeCapError
-from .exact import solve
 from .oracle import oracle_value
 from .policies import OpenLoopPlan, make_policy
+from .presets import probe_beliefs
 from .scenario import ScenarioConfig
 from .simulate import monte_carlo_eval
 
@@ -141,38 +140,31 @@ def run_benchmark(spec: ExperimentSpec) -> ResultTable:
     return ResultTable(rows, spec.n_runs, spec.base_seed, digest)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_result_table(table: ResultTable, out_dir: Path) -> None:
     """results.csv and per_run.csv are byte-identical across reruns; the
     wall-clock column lives in timings.csv only."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RESULT_COLUMNS)
-        for r in table.rows:
-            w.writerow([
-                r.policy, r.status, _fmt(r.mean_cost), _fmt(r.std_error),
-                _fmt(r.mean_tests_used), _fmt(r.mean_final_infections),
-                table.n_runs, table.base_seed, table.scenario_digest,
-            ])
-    with open(out_dir / "per_run.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PER_RUN_COLUMNS)
-        for r in table.rows:
-            for rec in r.per_run or []:
-                w.writerow([rec[0], rec[1], _fmt(rec[2]), rec[3], rec[4],
-                            table.base_seed, table.scenario_digest])
-    with open(out_dir / "timings.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("policy", "runtime_seconds"))
-        for r in table.rows:
-            w.writerow([r.policy, _fmt(r.runtime_seconds)])
-
-
-def report_probes(cfg: ScenarioConfig, count: int, base_seed: int) -> list:
-    """Probe beliefs for bound reports, derived from the experiment seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(0xB111,)))
-    return [Belief.from_dense(rng.dirichlet(np.ones(1 << cfg.n)), cfg.n) for _ in range(count)]
+    _write_csv(out_dir / "results.csv", RESULT_COLUMNS, (
+        [r.policy, r.status, _fmt(r.mean_cost), _fmt(r.std_error),
+         _fmt(r.mean_tests_used), _fmt(r.mean_final_infections),
+         table.n_runs, table.base_seed, table.scenario_digest]
+        for r in table.rows
+    ))
+    _write_csv(out_dir / "per_run.csv", PER_RUN_COLUMNS, (
+        [rec[0], rec[1], _fmt(rec[2]), rec[3], rec[4], table.base_seed, table.scenario_digest]
+        for r in table.rows
+        for rec in r.per_run or []
+    ))
+    _write_csv(out_dir / "timings.csv", ("policy", "runtime_seconds"),
+               ([r.policy, _fmt(r.runtime_seconds)] for r in table.rows))
 
 
 @dataclass
@@ -200,7 +192,11 @@ def run_sandwich_report(spec: ExperimentSpec, include_oracle: Optional[bool] = N
     marked so callers can fail loudly.
     """
     cfg = spec.scenario
-    probes = report_probes(cfg, spec.probe_count, spec.base_seed)
+    probes = probe_beliefs(
+        cfg.n,
+        spec.probe_count,
+        np.random.SeedSequence(entropy=spec.base_seed, spawn_key=(0xB111,)),
+    )
     if include_oracle is None:
         include_oracle = (2 * (cfg.n + 1)) ** (cfg.horizon - 1) <= 200_000
     grids = nested_grid_ladder(cfg.n, list(spec.grid_sizes), seed=spec.base_seed)
@@ -235,20 +231,9 @@ def run_sandwich_report(spec: ExperimentSpec, include_oracle: Optional[bool] = N
 
 
 def write_sandwich_report(rows: list, spec: ExperimentSpec, out_dir: Path) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     digest = spec.scenario.digest()
-    with open(out_dir / "sandwich.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SANDWICH_COLUMNS)
-        for r in rows:
-            w.writerow([
-                r.R, r.stage, r.probe, _fmt(r.lower), _fmt(r.upper),
-                _fmt(r.gap), _fmt(r.oracle), r.status, spec.base_seed, digest,
-            ])
-
-
-def solve_and_report(cfg: ScenarioConfig):
-    """Convenience: exact value function plus its value at the start belief."""
-    vf = solve(cfg)
-    return vf, vf.value(1, cfg.initial_belief)
+    _write_csv(Path(out_dir) / "sandwich.csv", SANDWICH_COLUMNS, (
+        [r.R, r.stage, r.probe, _fmt(r.lower), _fmt(r.upper),
+         _fmt(r.gap), _fmt(r.oracle), r.status, spec.base_seed, digest]
+        for r in rows
+    ))

@@ -16,6 +16,7 @@ the toolkit break toward the lowest index.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -103,10 +104,7 @@ def single_flip(x, y) -> int:
     The disease spreads to at most one new individual per step, so this is
     the reachability indicator between consecutive hidden states.
     """
-    x, y = _coerce_state(x), _coerce_state(y)
-    if x.n != y.n:
-        raise DimensionError(f"state lengths differ: {x.n} vs {y.n}")
-    return 1 if (x.mask ^ y.mask).bit_count() == 1 else 0
+    return 0 if flipped_vertex(x, y) is None else 1
 
 
 def flipped_vertex(x, y) -> Optional[int]:
@@ -224,6 +222,170 @@ class ContactSchedule:
 # transition structure
 # ---------------------------------------------------------------------------
 
+# The Dynamics cache drops its least recently used entries beyond this many
+# bytes (the newest entry always stays).
+DYNAMICS_CACHE_BYTES = 64 << 20
+_EDGE_BYTES = 256  # generous size of one edge's Python objects in a Dynamics
+
+
+@lru_cache(maxsize=None)
+def _up_index(n: int) -> np.ndarray:
+    """(n, 2**n) array: row k holds x | bit k for every state mask x."""
+    _enumeration_cap(n)
+    return np.arange(1 << n) | (1 << np.arange(n))[:, None]
+
+
+class Dynamics:
+    """One step of the epidemic under a fixed (graph, q_edges, q_active, p).
+
+    The active edge is drawn from the subgraph induced by dropping
+    ``q_edges`` (weights renormalized by that subgraph's total weight);
+    transmission additionally requires both endpoints outside ``q_active``.
+    Passing the same set twice gives the plain single-quarantine step;
+    ``q_edges`` strictly inside ``q_active`` models an individual quarantined
+    mid-step, after the edge was already drawn but before transmission.
+
+    Every one-step quantity of the toolkit comes from here: per-state
+    crossings (:meth:`flows`), the sparse belief push-forward
+    (:meth:`predict`), and the dense operators ``P @ V`` (:meth:`back`) and
+    ``P.T @ b`` (:meth:`push`), which go through ``x | bit_k`` with index
+    arrays built once per n and never form the 2**n x 2**n matrix. Get
+    instances from :func:`dynamics`.
+    """
+
+    def __init__(self, g: ContactGraph, q_edges: Quarantine, q_active: Quarantine, p: float):
+        if not 0.0 <= p <= 1.0:
+            raise ValidationError(f"transmission probability {p} outside [0, 1]")
+        if not q_edges <= q_active:
+            raise ValidationError("q_edges must be a subset of q_active")
+        _check_quarantine(g.n_vertices, q_active)
+        self.n = g.n_vertices
+        self.active = active_subgraph(g, q_edges)  # the edges the draw can pick
+        self.total = self.active.total_weight()
+        # (bit_i, bit_j, i, j, p * w / total) per edge that can carry a
+        # crossing, in sorted-edge order
+        self._crossings = tuple(
+            (1 << (i - 1), 1 << (j - 1), i, j, p * w / self.total)
+            for i, j, w in self.active.edges
+            if w != 0.0 and i not in q_active and j not in q_active
+        ) if self.total > 0.0 else ()
+        self._tables = None
+
+    @property
+    def nbytes(self) -> int:
+        """The most this instance holds: its edges, and its dense tables
+        whether or not they are built yet."""
+        return _EDGE_BYTES * (1 + len(self.active.edges)) + 8 * (self.n + 1) * (1 << self.n)
+
+    def flows(self, mask: int) -> dict:
+        """{vertex k: P(k becomes infected)} out of state ``mask``, each
+        edge's p*w/total term added in sorted-edge order."""
+        out = {}
+        for bi, bj, i, j, coef in self._crossings:
+            if bool(mask & bi) == bool(mask & bj):
+                continue  # both infected or both healthy: nothing crosses
+            target = j if mask & bi else i
+            out[target] = out.get(target, 0.0) + coef
+        return out
+
+    def predict(self, probs: dict) -> dict:
+        """One-step push-forward of a sparse {mask: probability} map."""
+        out: dict = {}
+        for mask, pr in probs.items():
+            moved = 0.0
+            for k, fp in self.flows(mask).items():
+                if fp <= 0.0:
+                    continue
+                nxt = mask | (1 << (k - 1))
+                out[nxt] = out.get(nxt, 0.0) + pr * fp
+                moved += fp
+            out[mask] = out.get(mask, 0.0) + pr * (1.0 - moved)
+        return out
+
+    def _flow_tables(self):
+        """(flow, stay): flow[k, x] = P(x -> x | bit k), stay[x] = P(x -> x).
+
+        Entries add up the same per-edge terms, in the same order, as
+        :meth:`flows`."""
+        if self._tables is None:
+            _enumeration_cap(self.n)
+            masks = np.arange(1 << self.n)
+            flow = np.zeros((self.n, 1 << self.n))
+            for bi, bj, i, j, coef in self._crossings:
+                has_i, has_j = (masks & bi) != 0, (masks & bj) != 0
+                flow[j - 1] += coef * (has_i & ~has_j)
+                flow[i - 1] += coef * (has_j & ~has_i)
+            self._tables = (flow, 1.0 - flow.sum(axis=0))
+        return self._tables
+
+    def back(self, V: np.ndarray) -> np.ndarray:
+        """P @ V for V of shape (2**n,) or (2**n, m): expected next-stage
+        values, row = current state."""
+        flow, stay = self._flow_tables()
+        V = np.asarray(V, dtype=np.float64)
+        col = (Ellipsis,) + (None,) * (V.ndim - 1)
+        out = stay[col] * V
+        for k, up in enumerate(_up_index(self.n)):
+            out += flow[k][col] * V[up]  # flow is 0 where bit k is already set
+        return out
+
+    def push(self, b: np.ndarray) -> np.ndarray:
+        """P.T @ b: the one-step push-forward of a dense belief."""
+        flow, stay = self._flow_tables()
+        moved = np.bincount(_up_index(self.n).ravel(), (flow * b).ravel(), minlength=len(b))
+        return stay * b + moved
+
+
+class _DynamicsCache:
+    """LRU map from (graph, q_edges, q_active, p) to its Dynamics. Each entry
+    is charged its :attr:`Dynamics.nbytes`; entries stay within ``limit``
+    bytes in all, or one entry when that one alone is larger."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._entries = OrderedDict()
+
+    def get(self, key) -> Dynamics:
+        dyn = self._entries.get(key)
+        if dyn is not None:
+            self._entries.move_to_end(key)
+            return dyn
+        dyn = self._entries[key] = Dynamics(*key)
+        self.nbytes += dyn.nbytes
+        while self.nbytes > self.limit and len(self._entries) > 1:
+            self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+        return dyn
+
+
+_DYNAMICS = _DynamicsCache(DYNAMICS_CACHE_BYTES)
+
+
+def dynamics(g: ContactGraph, q_edges: Quarantine, q_active: Quarantine, p: float) -> Dynamics:
+    """The cached :class:`Dynamics` of one step (see its docstring)."""
+    return _DYNAMICS.get((g, frozenset(q_edges), frozenset(q_active), p))
+
+
+def candidate_actions(n: int, q: Quarantine) -> list:
+    """Actions worth weighing: no test (0), then every non-quarantined
+    individual in increasing order, so argmin ties go to the lowest."""
+    return [0] + [u for u in range(1, n + 1) if u not in q]
+
+
+def branches(g: ContactGraph, q: Quarantine, u: int, p: float) -> list:
+    """(outcome, next quarantine, Dynamics) per observation branch of action u.
+
+    Testing nobody observes nothing: one branch, (None, q). Testing u reveals
+    its bit: a positive quarantines u at once, (1, q | {u}); a negative keeps
+    q, (0, q). The step's contact was drawn before the test, so each branch
+    steps with ``dynamics(g, q, q_next, p)``: a new quarantine only blocks
+    the crossing.
+    """
+    if u == 0:
+        return [(None, q, dynamics(g, q, q, p))]
+    q1 = q | {u}
+    return [(1, q1, dynamics(g, q, q1, p)), (0, q, dynamics(g, q, q, p))]
+
 
 def infection_flows(
     x: SystemState,
@@ -232,36 +394,11 @@ def infection_flows(
     q_active: Quarantine,
     p: float,
 ) -> dict:
-    """Per-target one-step infection probabilities out of state x.
-
-    Returns {vertex k: P(k becomes infected)}. The active edge is drawn from
-    the subgraph induced by dropping ``q_edges`` (weights renormalized by that
-    subgraph's total weight); transmission additionally requires both
-    endpoints outside ``q_active``. Passing the same set twice gives the plain
-    single-quarantine kernel; ``q_edges`` strictly before ``q_active`` models
-    an individual quarantined mid-step, after the edge was already drawn but
-    before transmission.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"transmission probability {p} outside [0, 1]")
+    """Per-target one-step infection probabilities out of state x:
+    {vertex k: P(k becomes infected)} (see :class:`Dynamics`)."""
     if g.n_vertices != x.n:
         raise DimensionError(f"graph has {g.n_vertices} vertices, state has {x.n}")
-    if not q_edges <= q_active:
-        raise ValidationError("q_edges must be a subset of q_active")
-    sub = active_subgraph(g, q_edges)
-    total = sub.total_weight()
-    if total <= 0.0:
-        return {}
-    flows: dict = {}
-    for i, j, w in sub.edges:
-        if w == 0.0 or i in q_active or j in q_active:
-            continue
-        xi, xj = x.infected(i), x.infected(j)
-        if xi == xj:
-            continue  # both infected or both healthy: nothing crosses
-        target = j if xi else i
-        flows[target] = flows.get(target, 0.0) + p * w / total
-    return flows
+    return dynamics(g, q_edges, q_active, p).flows(x.mask)
 
 
 def transition_kernel(x, g: ContactGraph, q: Quarantine, p: float) -> dict:
@@ -272,17 +409,10 @@ def transition_kernel(x, g: ContactGraph, q: Quarantine, p: float) -> dict:
     maps SystemState to probability and sums to 1.
     """
     x = _coerce_state(x)
-    _check_quarantine(x.n, q)
-    flows = infection_flows(x, g, q, q, p)
-    out = {}
-    moved = 0.0
-    for k, prob in sorted(flows.items()):
-        if prob <= 0.0:
-            continue
-        out[x.infect(k)] = prob
-        moved += prob
-    out[x] = 1.0 - moved
-    return out
+    if g.n_vertices != x.n:
+        raise DimensionError(f"graph has {g.n_vertices} vertices, state has {x.n}")
+    step = dynamics(g, q, q, p).predict({x.mask: 1.0})
+    return {SystemState(m, x.n): pr for m, pr in step.items()}
 
 
 def _enumeration_cap(n: int):
@@ -306,49 +436,22 @@ def infection_counts(n: int) -> np.ndarray:
     return _bits_matrix(n).sum(axis=1)
 
 
-@lru_cache(maxsize=None)
+def outcome_indicator(n: int, u: int, y: int) -> np.ndarray:
+    """Dense 0/1 vector over state masks: 1 where testing u gives outcome y."""
+    hot = _bits_matrix(n)[:, u - 1]
+    return hot if y else 1.0 - hot
+
+
 def kernel_matrix(
     g: ContactGraph, q_edges: Quarantine, q_active: Quarantine, p: float
 ) -> np.ndarray:
     """Dense (2**n, 2**n) one-step transition matrix; row = current state.
 
-    Same semantics as :func:`infection_flows` extended over the whole state
-    space. Cached per (graph, quarantine pair, p).
+    Built on every call, for checks at small n; solvers use
+    :meth:`Dynamics.back` and :meth:`Dynamics.push` instead.
     """
-    n = g.n_vertices
-    _enumeration_cap(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"transmission probability {p} outside [0, 1]")
-    if not q_edges <= q_active:
-        raise ValidationError("q_edges must be a subset of q_active")
-    size = 1 << n
-    bits = _bits_matrix(n)
-
-    sub = active_subgraph(g, q_edges)
-    total = sub.total_weight()
-    P = np.zeros((size, size))
-    if total <= 0.0:
-        np.fill_diagonal(P, 1.0)
-        return P
-
-    # pair_w[i-1, k-1]: weight usable for transmission between i and k
-    pair_w = np.zeros((n, n))
-    for i, j, w in sub.edges:
-        if i in q_active or j in q_active:
-            continue
-        pair_w[i - 1, j - 1] = w
-        pair_w[j - 1, i - 1] = w
-
-    # flow[x, k-1] = p/W * sum over infected i of pair_w[i, k], for healthy k
-    flow = (p / total) * (bits @ pair_w)
-    flow *= 1.0 - bits  # target must currently be healthy
-    masks = np.arange(size, dtype=np.int64)
-    for k in range(n):
-        col = flow[:, k]
-        nz = np.nonzero(col)[0]
-        P[nz, masks[nz] | (1 << k)] += col[nz]
-    np.fill_diagonal(P, np.diag(P) + 1.0 - flow.sum(axis=1))
-    return P
+    _enumeration_cap(g.n_vertices)
+    return dynamics(g, q_edges, q_active, p).back(np.eye(1 << g.n_vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +466,18 @@ def sample_active_edge(g: ContactGraph, q: Quarantine, rng) -> Optional[tuple]:
     weight. Consumes exactly one uniform variate either way, so parallel
     policy evaluations sharing a seed stay aligned.
     """
-    sub = active_subgraph(g, q)
-    total = sub.total_weight()
+    dyn = dynamics(g, q, q, 0.0)  # the draw does not depend on p
     r = rng.random()
-    if total <= 0.0:
+    if dyn.total <= 0.0:
         return None
-    r *= total
+    r *= dyn.total
     acc = 0.0
-    for e in sub.edges:
+    for e in dyn.active.edges:
         acc += e[2]
         if r < acc:
             return e
-    return sub.edges[-1]  # r == total due to rounding
+    # rounding left r at or above the running sum: the last drawable edge
+    return next(e for e in reversed(dyn.active.edges) if e[2] > 0.0)
 
 
 def sample_step(x, edge: tuple, p: float, rng) -> SystemState:
@@ -384,13 +487,9 @@ def sample_step(x, edge: tuple, p: float, rng) -> SystemState:
     probability p; otherwise the state is unchanged. At most one bit flips.
     """
     x = _coerce_state(x)
-    i, j, _ = edge
-    xi, xj = x.infected(i), x.infected(j)
-    if xi == xj:
-        return x
-    if rng.random() < p:
-        return x.infect(j if xi else i)
-    return x
+    if x.infected(edge[0]) == x.infected(edge[1]):
+        return x  # no variate drawn when nothing can cross
+    return transmit_with_uniform(x, edge, p, EMPTY_QUARANTINE, rng.random())
 
 
 def transmit_with_uniform(

@@ -33,10 +33,11 @@ from .model import (
     ContactSchedule,
     EMPTY_QUARANTINE,
     Quarantine,
-    _bits_matrix,
-    active_subgraph,
+    branches,
+    candidate_actions,
+    dynamics,
     infection_counts,
-    kernel_matrix,
+    outcome_indicator,
 )
 from .oracle import tree_value
 from .scenario import ScenarioConfig
@@ -64,18 +65,21 @@ class PolicyContext:
     rng: Optional[np.random.Generator] = None
 
 
-def _context_at(cfg: ScenarioConfig, t: int, belief: Belief, q: Quarantine) -> PolicyContext:
+def _context_at(
+    cfg: ScenarioConfig, t: int, belief: Belief, q: Quarantine, revealed_edge=None, rng=None
+) -> PolicyContext:
     return PolicyContext(
         belief=belief,
         t=t,
         quarantine=q,
         graph=cfg.graph_at(t),
         schedule=cfg.schedule,
-        revealed_edge=None,
+        revealed_edge=revealed_edge,
         p=cfg.p,
         lam=cfg.lam,
         horizon=cfg.horizon,
         n=cfg.n,
+        rng=rng,
     )
 
 
@@ -91,6 +95,22 @@ class StageValue:
         raise NotImplementedError
 
 
+def _outcomes(b: Belief, g: ContactGraph, q: Quarantine, u: int, p: float) -> list:
+    """(probability, next belief, next quarantine) per observation branch of
+    action u (see :func:`branches`) that some support state of b gives."""
+    out = []
+    for y, q_next, _ in branches(g, q, u, p):
+        if y is None:
+            prob, now = 1.0, b
+        else:
+            prob = observation_probability(b, u, y)
+            if prob <= 0.0 or not any(((m >> (u - 1)) & 1) == y for m in b.probs):
+                continue
+            now = filter_observation(b, u, y)
+        out.append((prob, predict_belief(now, g, q_next, p, q_edges=q), q_next))
+    return out
+
+
 def one_step_argmin(surrogate: StageValue, ctx: PolicyContext):
     """Minimize test cost plus expected next-stage surrogate value.
 
@@ -101,25 +121,12 @@ def one_step_argmin(surrogate: StageValue, ctx: PolicyContext):
     b, q, t = ctx.belief, ctx.quarantine, ctx.t
     if t >= ctx.horizon:
         raise ValidationError("one-step minimization undefined at the terminal stage")
-    g, p, lam = ctx.graph, ctx.p, ctx.lam
 
     best_u, best_val = 0, None
-    for u in range(0, ctx.n + 1):
-        if u != 0 and u in q:
-            continue
-        if u == 0:
-            val = surrogate.value(t + 1, predict_belief(b, g, q, p), q)
-        else:
-            p1 = observation_probability(b, u, 1)
-            val = lam
-            if p1 > 0.0:
-                pos = predict_belief(
-                    filter_observation(b, u, 1), g, q | {u}, p, q_edges=q
-                )
-                val += p1 * surrogate.value(t + 1, pos, q | {u})
-            if p1 < 1.0:
-                neg = predict_belief(filter_observation(b, u, 0), g, q, p)
-                val += (1.0 - p1) * surrogate.value(t + 1, neg, q)
+    for u in candidate_actions(ctx.n, q):
+        val = ctx.lam if u else 0.0
+        for prob, nxt, q_next in _outcomes(b, ctx.graph, q, u, ctx.p):
+            val += prob * surrogate.value(t + 1, nxt, q_next)
         if best_val is None or val < best_val:
             best_u, best_val = u, val
     return best_u, best_val
@@ -171,7 +178,7 @@ class RandomTestPolicy:
 
 
 def policy_random_test(ctx: PolicyContext, rng: np.random.Generator) -> int:
-    candidates = [0] + [u for u in range(1, ctx.n + 1) if u not in ctx.quarantine]
+    candidates = candidate_actions(ctx.n, ctx.quarantine)
     return int(candidates[rng.integers(len(candidates))])
 
 
@@ -244,17 +251,11 @@ class OpenLoopValue(StageValue):
         if t == cfg.horizon:
             vec = c.astype(np.float64)
         else:
-            g = cfg.graph_at(t)
             u = self.plan.action_at(t)
-            if u == 0:
-                vec = c + kernel_matrix(g, q, q, cfg.p) @ self.alpha(t + 1, q)
-            else:
-                bits = _bits_matrix(cfg.n)
-                mask1 = bits[:, u - 1]
-                q1 = q | {u}
-                pos = mask1 * (kernel_matrix(g, q, q1, cfg.p) @ self.alpha(t + 1, q1))
-                neg = (1.0 - mask1) * (kernel_matrix(g, q, q, cfg.p) @ self.alpha(t + 1, q))
-                vec = c + cfg.lam + pos + neg
+            vec = c + cfg.lam if u else c
+            for y, q_next, step in branches(cfg.graph_at(t), q, u, cfg.p):
+                back = step.back(self.alpha(t + 1, q_next))
+                vec = vec + (back if y is None else outcome_indicator(cfg.n, u, y) * back)
         self._alphas[key] = vec
         return vec
 
@@ -308,13 +309,10 @@ def extract_policy(vf: ValueFunction) -> OneStepPolicy:
 def _greedy_scores(ctx: PolicyContext):
     """Expected transmission pressure prevented by testing each individual:
     P(u infected, free) * p * (u's share of active contact weight)."""
-    sub = active_subgraph(ctx.graph, ctx.quarantine)
-    total = sub.total_weight()
+    step = dynamics(ctx.graph, ctx.quarantine, ctx.quarantine, ctx.p)
     scores = {}
-    for u in range(1, ctx.n + 1):
-        if u in ctx.quarantine:
-            continue
-        share = sub.incident_weight(u) / total if total > 0.0 else 0.0
+    for u in candidate_actions(ctx.n, ctx.quarantine)[1:]:
+        share = step.active.incident_weight(u) / step.total if step.total > 0.0 else 0.0
         scores[u] = marginal_infection(ctx.belief, u, ctx.quarantine) * ctx.p * share
     return scores
 
@@ -364,19 +362,11 @@ def greedy_value(ctx: PolicyContext, literal: bool = False) -> float:
     if ctx.t >= ctx.horizon:
         return stage
     u = policy_greedy(ctx, literal=literal)
-    g, q, p = ctx.graph, ctx.quarantine, ctx.p
-    if u == 0:
-        nxt = expected_infections(predict_belief(b, g, q, p))
-        return stage + nxt
-    p1 = observation_probability(b, u, 1)
-    nxt = 0.0
-    if p1 > 0.0:
-        pos = predict_belief(filter_observation(b, u, 1), g, q | {u}, p, q_edges=q)
-        nxt += p1 * expected_infections(pos)
-    if p1 < 1.0:
-        neg = predict_belief(filter_observation(b, u, 0), g, q, p)
-        nxt += (1.0 - p1) * expected_infections(neg)
-    return stage + nxt + ctx.lam
+    nxt = sum(
+        prob * expected_infections(nb)
+        for prob, nb, _ in _outcomes(b, ctx.graph, ctx.quarantine, u, ctx.p)
+    )
+    return stage + nxt + (ctx.lam if u else 0.0)
 
 
 class GreedyStageValue(StageValue):

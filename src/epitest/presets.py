@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beliefs import Belief
-from .model import ContactGraph, ContactSchedule, SystemState
+from .model import ContactGraph, ContactSchedule
 from .scenario import ScenarioConfig
 
 
@@ -89,13 +89,10 @@ def tiny_scenarios() -> dict:
     return {name: build() for name, build in TINY_SCENARIOS.items()}
 
 
-def probe_beliefs(n: int, count: int, seed: int = 9001) -> list:
-    """Fixed random interior probe beliefs on the 2**n simplex."""
+def probe_beliefs(n: int, count: int, seed=9001) -> list:
+    """Fixed random interior probe beliefs on the 2**n simplex; ``seed`` is
+    an int or a ``numpy.random.SeedSequence``."""
     rng = np.random.default_rng(seed)
     return [
         Belief.from_dense(rng.dirichlet(np.ones(1 << n)), n) for _ in range(count)
     ]
-
-
-def all_infected(n: int) -> SystemState:
-    return SystemState((1 << n) - 1, n)

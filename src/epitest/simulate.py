@@ -28,11 +28,12 @@ from .model import (
     EMPTY_QUARANTINE,
     Quarantine,
     SystemState,
+    branches,
     sample_active_edge,
     transmit_with_uniform,
     validate_action,
 )
-from .policies import PolicyContext
+from .policies import _context_at
 from .scenario import ScenarioConfig
 
 EDGE_VISIBILITY_MODES = ("before", "after")
@@ -136,25 +137,13 @@ def run_episode(
         g = cfg.graph_at(t)
         q_before = q
         edge = sample_active_edge(g, q_before, edge_rng)
-        ctx = PolicyContext(
-            belief=belief,
-            t=t,
-            quarantine=q_before,
-            graph=g,
-            schedule=cfg.schedule,
-            revealed_edge=edge if edge_visibility == "before" else None,
-            p=cfg.p,
-            lam=cfg.lam,
-            horizon=T,
-            n=cfg.n,
-            rng=policy_rng,
-        )
+        seen = edge if edge_visibility == "before" else None
+        ctx = _context_at(cfg, t, belief, q_before, revealed_edge=seen, rng=policy_rng)
         u = validate_action(policy(ctx), cfg.n)
         y = None if u == 0 else int(x.infected(u))
         if u != 0:
             tests += 1
-            if y == 1:
-                q = q_before | {u}
+        q = next(q_next for yy, q_next, _ in branches(g, q_before, u, cfg.p) if yy == y)
         stage_cost = float(x.count()) + (cfg.lam if u != 0 else 0.0)
         total += stage_cost
         records.append(StepRecord(t, edge, u, y, q, x, stage_cost))

@@ -220,6 +220,19 @@ class TestSampling:
         sigma = (0.25 * 0.75 / n_draws) ** 0.5
         assert abs(hits / n_draws - 0.25) < 3 * sigma
 
+    def test_rounding_fallback_skips_zero_weight_edges(self):
+        class AtOne:  # a variate that lands exactly on the total weight
+            calls = 0
+
+            def random(self):
+                self.calls += 1
+                return 1.0
+
+        g = ContactGraph.from_edges(3, [(1, 2, 1.0), (2, 3, 0.0)])
+        rng = AtOne()
+        assert sample_active_edge(g, frozenset(), rng) == (1, 2, 1.0)
+        assert rng.calls == 1
+
     def test_sample_step(self):
         rng = np.random.default_rng(1)
         both = SystemState.from_bits((1, 1))

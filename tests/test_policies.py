@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epitest.approx import BeliefGrid, approx_solve_upper
-from epitest.beliefs import Belief, expected_infections
+from epitest.beliefs import Belief, expected_infections, observation_probability
 from epitest.errors import ValidationError
 from epitest.exact import solve
 from epitest.model import ContactGraph, ContactSchedule, SystemState, kernel_matrix
@@ -19,6 +19,7 @@ from epitest.policies import (
     default_plan,
     greedy_value,
     make_policy,
+    one_step_argmin,
     open_loop_value,
     policy_greedy,
     policy_improved,
@@ -318,3 +319,30 @@ class TestRegistry:
             assert policy_tree_value(cfg, policy, b) == pytest.approx(
                 oracle_value(cfg, b), abs=1e-9
             )
+
+
+class TestCertainOutcome:
+    """A test whose outcome is certain must not branch on the other outcome,
+    even when the summed probability of the certain one rounds below 1."""
+
+    @staticmethod
+    def certain_carrier():
+        # individual 1 is infected in every support state, yet the mass of
+        # those states sums to 0.9999999999999999
+        weights = np.random.default_rng(0).dirichlet(np.ones(8), size=6)[5]
+        b = Belief(4, {m: float(w) for m, w in zip(range(1, 16, 2), weights)})
+        cfg = config(4, 3, 0.5, 0.01, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], belief=b)
+        return cfg, b
+
+    def test_belief_policies_decide(self):
+        cfg, b = self.certain_carrier()
+        assert observation_probability(b, 1, 1) < 1.0
+        for name in ("lookahead", "improved", "exact"):
+            assert make_policy(name, cfg)(ctx_at(cfg, 1, b)) == 1, name
+
+    def test_exact_one_step_value_is_bellman_consistent(self):
+        cfg, b = self.certain_carrier()
+        vf = solve(cfg)
+        ctx = ctx_at(cfg, 1, b)
+        _, qval = one_step_argmin(ExactStageValue(vf), ctx)
+        assert expected_infections(b) + qval == pytest.approx(vf.value(1, b), abs=1e-9)
