@@ -68,6 +68,7 @@ from .policies import (
     NeverTestPolicy,
     OpenLoopPlan,
     OpenLoopPolicy,
+    OpenLoopValue,
     OneStepPolicy,
     PolicyContext,
     RandomTestPolicy,
@@ -76,12 +77,8 @@ from .policies import (
     extract_policy,
     greedy_value,
     make_policy,
-    open_loop_value,
-    policy_greedy,
     policy_improved,
-    policy_never_test,
     policy_one_step_lookahead,
-    policy_random_test,
     policy_tree_value,
 )
 from .scenario import ScenarioConfig, dump_scenario, load_scenario, scenario_from_dict

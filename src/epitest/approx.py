@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .beliefs import Belief
+from .beliefs import Belief, as_dense
 from .errors import CoverageError, SizeCapError, ValidationError
 from .exact import (
     AlphaSet,
@@ -33,6 +33,7 @@ from .model import (
     branches,
     candidate_actions,
     infection_counts,
+    one_step_min,
     outcome_indicator,
 )
 from .scenario import ScenarioConfig
@@ -207,8 +208,7 @@ class LowerBound:
         return self.tables[(t, frozenset(q))]
 
     def value(self, t: int, b, q: Quarantine = EMPTY_QUARANTINE) -> float:
-        dense = b.dense() if hasattr(b, "dense") else np.asarray(b, dtype=float)
-        return self._interp.value(dense, self.grid_values(t, q))
+        return self._interp.value(as_dense(b), self.grid_values(t, q))
 
 
 def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
@@ -250,15 +250,12 @@ def approx_solve_lower(
             branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
             vals = np.empty(len(grid))
             for r, bf in enumerate(grid.points):
-                stage = float(bf @ c)
-                best = None
-                for u, branch_set in branch_sets.items():
-                    cost = cfg.lam if u != 0 else 0.0
-                    for prob, child, q_next in _branch_children(bf, u, branch_set, cfg.n):
-                        cost += prob * interp.value(child, tables[(t + 1, q_next)])
-                    if best is None or cost < best:
-                        best = cost
-                vals[r] = stage + best
+                _, best = one_step_min(
+                    cfg.n, q, cfg.lam,
+                    lambda u: _branch_children(bf, u, branch_sets[u], cfg.n),
+                    lambda child, q_next: interp.value(child, tables[(t + 1, q_next)]),
+                )
+                vals[r] = float(bf @ c) + best
             tables[(t, q)] = vals
     return LowerBound(cfg.n, T, grid, tables, interp)
 

@@ -101,12 +101,11 @@ class Belief:
             vec[mask] = pr
         return vec
 
-    def support(self):
-        return tuple(SystemState(m, self.n) for m in self.probs)
 
-    def prob(self, state) -> float:
-        mask = state.mask if isinstance(state, SystemState) else int(state)
-        return self.probs.get(mask, 0.0)
+def as_dense(b) -> np.ndarray:
+    """A belief as a dense float vector over state masks: a :class:`Belief`
+    is expanded, anything else is read as an array."""
+    return b.dense() if isinstance(b, Belief) else np.asarray(b, dtype=np.float64)
 
 
 def _prune(n: int, raw: dict) -> Belief:

@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-runs", type=int, default=1000)
     sub.add_argument("--workers", type=int, default=1,
                      help="parallel Monte Carlo workers")
-    sub.add_argument("--edge-visibility", choices=("before", "after"), default="before",
-                     help="whether the policy sees the current active contact")
     sub.add_argument("--plan", default=None,
                      help="open-loop plan as comma-separated actions, e.g. 1,2,3,0")
 
@@ -87,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sub)
     sub.add_argument("--policy", default="greedy")
     sub.add_argument("--run-index", type=int, default=0)
-    sub.add_argument("--edge-visibility", choices=("before", "after"), default="before",
-                     help="whether the policy sees the current active contact")
     sub.add_argument("--plan", default=None)
     return parser
 
@@ -100,10 +96,28 @@ def _load(args):
     return cfg
 
 
+def _count(value: int, flag: str) -> int:
+    """A count or run index from the command line: at least 0."""
+    if value < 0:
+        raise ValidationError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
+def _int_list(raw: str, flag: str) -> tuple:
+    """Comma-separated integers; the first token that is not one is named."""
+    out = []
+    for tok in raw.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValidationError(f"{flag}: {tok!r} is not an integer") from None
+    return tuple(out)
+
+
 def _parse_plan(raw):
     if raw is None:
         return None
-    return OpenLoopPlan(tuple(int(tok) for tok in raw.split(",")))
+    return OpenLoopPlan(_int_list(raw, "--plan"))
 
 
 def cmd_validate(args) -> int:
@@ -127,7 +141,8 @@ def cmd_solve_exact(args) -> int:
 
 def cmd_solve_approx(args) -> int:
     cfg = _load(args)
-    grid = BeliefGrid.corners_plus_random(cfg.n, args.grid_size, cfg.seed)
+    size = _count(args.grid_size, "--grid-size")
+    grid = BeliefGrid.corners_plus_random(cfg.n, size, cfg.seed)
     ub = approx_solve_upper(cfg, grid)
     lb = approx_solve_lower(cfg, grid)
     b0 = cfg.initial_belief
@@ -147,7 +162,6 @@ def cmd_bench(args) -> int:
         n_runs=args.n_runs,
         plan=_parse_plan(args.plan),
         workers=args.workers,
-        edge_visibility=args.edge_visibility,
         seed_override=args.seed_override,
     )
     table = run_benchmark(spec)
@@ -167,8 +181,10 @@ def cmd_sandwich(args) -> int:
     cfg = _load(args)
     spec = ExperimentSpec(
         scenario=cfg,
-        grid_sizes=tuple(int(tok) for tok in args.grid_sizes.split(",")),
-        probe_count=args.probes,
+        grid_sizes=tuple(
+            _count(r, "--grid-sizes") for r in _int_list(args.grid_sizes, "--grid-sizes")
+        ),
+        probe_count=_count(args.probes, "--probes"),
         seed_override=args.seed_override,
     )
     rows = run_sandwich_report(spec)
@@ -195,8 +211,9 @@ def cmd_sandwich(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _load(args)
     policy = make_policy(args.policy, cfg, plan=_parse_plan(args.plan))
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(args.run_index,))
-    trace = run_episode(cfg, policy, seq, edge_visibility=args.edge_visibility)
+    index = _count(args.run_index, "--run-index")
+    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
+    trace = run_episode(cfg, policy, seq)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.jsonl"

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .beliefs import Belief
+from .beliefs import as_dense
 from .errors import ContractViolation, DimensionError, SizeCapError, ValidationError
 from .model import (
     ContactGraph,
@@ -88,19 +88,11 @@ class Evaluation(NamedTuple):
     argmin_vector: int
 
 
-def _belief_dense(b, dim: int) -> np.ndarray:
-    if isinstance(b, Belief):
-        vec = b.dense()
-    else:
-        vec = np.asarray(b, dtype=np.float64)
-    if len(vec) != dim:
-        raise DimensionError(f"belief dimension {len(vec)} != alpha dimension {dim}")
-    return vec
-
-
 def evaluate(aset: AlphaSet, b) -> Evaluation:
     """Minimum inner product over the set; ties go to the lowest index."""
-    vec = _belief_dense(b, aset.dim)
+    vec = as_dense(b)
+    if len(vec) != aset.dim:
+        raise DimensionError(f"belief dimension {len(vec)} != alpha dimension {aset.dim}")
     dots = aset.matrix() @ vec
     idx = int(np.argmin(dots))
     return Evaluation(float(dots[idx]), idx)

@@ -59,7 +59,6 @@ class ExperimentSpec:
     grid_sizes: Sequence[int] = (2, 4, 8)
     plan: Optional[OpenLoopPlan] = None
     workers: int = 1
-    edge_visibility: str = "before"
     seed_override: Optional[int] = None
     out_dir: Optional[Path] = None
 
@@ -119,7 +118,6 @@ def run_benchmark(spec: ExperimentSpec) -> ResultTable:
             spec.n_runs,
             base_seed=spec.base_seed,
             workers=spec.workers,
-            edge_visibility=spec.edge_visibility,
         )
         per_run = [
             (name, i, float(result.costs[i]), int(result.tests[i]), int(result.final_infections[i]))

@@ -387,6 +387,26 @@ def branches(g: ContactGraph, q: Quarantine, u: int, p: float) -> list:
     return [(1, q1, dynamics(g, q, q1, p)), (0, q, dynamics(g, q, q, p))]
 
 
+def one_step_min(n: int, q: Quarantine, lam: float, children, value) -> tuple:
+    """Minimize test cost plus expected next-stage value over the
+    :func:`candidate_actions` of quarantine q.
+
+    ``children(u)`` gives (probability, next belief, next quarantine) per
+    observation branch of action u, in any belief representation that
+    ``value(next belief, next quarantine)`` accepts. Returns (action, cost),
+    the cost excluding the current stage; an exact tie goes to the lower
+    action, so no-test wins every tie it is in.
+    """
+    best_u, best_cost = 0, None
+    for u in candidate_actions(n, q):
+        cost = lam if u else 0.0
+        for prob, nxt, q_next in children(u):
+            cost += prob * value(nxt, q_next)
+        if best_cost is None or cost < best_cost:
+            best_u, best_cost = u, cost
+    return best_u, best_cost
+
+
 def infection_flows(
     x: SystemState,
     g: ContactGraph,

@@ -4,7 +4,8 @@ Everything adaptive here is a one-step minimizer against some stage-value
 surrogate: the exact policy minimizes against the solved value function, the
 policy-improvement rule against an open-loop plan's value, and the one-step
 look-ahead rule against the two-stage greedy value. The shared core is
-:func:`one_step_argmin`; policies differ only in the surrogate they plug in.
+:func:`one_step_argmin`; policies differ only in the :class:`StageValue`
+surrogate they plug in.
 
 Policies are callables mapping a :class:`PolicyContext` to an action in
 [0, N]; all bundled ones are deterministic except the random baseline, which
@@ -14,12 +15,13 @@ draws from the context's rng stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 from .beliefs import (
     Belief,
+    as_dense,
     expected_infections,
     filter_observation,
     marginal_infection,
@@ -27,16 +29,16 @@ from .beliefs import (
     predict_belief,
 )
 from .errors import ValidationError
-from .exact import ValueFunction, evaluate
+from .exact import ValueFunction
 from .model import (
     ContactGraph,
-    ContactSchedule,
     EMPTY_QUARANTINE,
     Quarantine,
     branches,
     candidate_actions,
     dynamics,
     infection_counts,
+    one_step_min,
     outcome_indicator,
 )
 from .oracle import tree_value
@@ -45,42 +47,20 @@ from .scenario import ScenarioConfig
 
 @dataclass
 class PolicyContext:
-    """Everything a policy may condition on at decision time.
+    """Everything a policy may condition on at decision time: the scenario,
+    the stage, the belief (None when the policy tracks none) and the
+    quarantine set. ``rng`` is an exclusively owned stream for stochastic
+    policies."""
 
-    ``revealed_edge`` is the current step's active contact when the simulator
-    runs in edge-visible mode, else None; none of the bundled policies use
-    it. ``rng`` is an exclusively owned stream for stochastic policies.
-    """
-
-    belief: Optional[Belief]
+    cfg: ScenarioConfig
     t: int
+    belief: Optional[Belief]
     quarantine: Quarantine
-    graph: ContactGraph
-    schedule: ContactSchedule
-    revealed_edge: Optional[tuple]
-    p: float
-    lam: float
-    horizon: int
-    n: int
     rng: Optional[np.random.Generator] = None
 
-
-def _context_at(
-    cfg: ScenarioConfig, t: int, belief: Belief, q: Quarantine, revealed_edge=None, rng=None
-) -> PolicyContext:
-    return PolicyContext(
-        belief=belief,
-        t=t,
-        quarantine=q,
-        graph=cfg.graph_at(t),
-        schedule=cfg.schedule,
-        revealed_edge=revealed_edge,
-        p=cfg.p,
-        lam=cfg.lam,
-        horizon=cfg.horizon,
-        n=cfg.n,
-        rng=rng,
-    )
+    @property
+    def graph(self) -> ContactGraph:
+        return self.cfg.graph_at(self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +68,12 @@ def _context_at(
 # ---------------------------------------------------------------------------
 
 
-class StageValue:
-    """Interface: a per-stage value functional over (t, belief, quarantine)."""
+class StageValue(Protocol):
+    """Interface: a per-stage value functional over (t, belief, quarantine).
+    Anything with this method is a surrogate, a solved ValueFunction too."""
 
     def value(self, t: int, b: Belief, q: Quarantine) -> float:
-        raise NotImplementedError
+        ...
 
 
 def _outcomes(b: Belief, g: ContactGraph, q: Quarantine, u: int, p: float) -> list:
@@ -114,40 +95,19 @@ def _outcomes(b: Belief, g: ContactGraph, q: Quarantine, u: int, p: float) -> li
 def one_step_argmin(surrogate: StageValue, ctx: PolicyContext):
     """Minimize test cost plus expected next-stage surrogate value.
 
-    Returns (action, q_value) where q_value excludes the current stage cost.
-    Candidates are no-test plus every non-quarantined individual, lowest
-    index winning ties. Only valid before the terminal stage.
+    Returns (action, q_value) where q_value excludes the current stage cost
+    (see :func:`model.one_step_min`, which owns the candidates and the
+    lowest-index tie rule). Only valid before the terminal stage.
     """
-    b, q, t = ctx.belief, ctx.quarantine, ctx.t
-    if t >= ctx.horizon:
+    cfg, b, q, t = ctx.cfg, ctx.belief, ctx.quarantine, ctx.t
+    if t >= cfg.horizon:
         raise ValidationError("one-step minimization undefined at the terminal stage")
-
-    best_u, best_val = 0, None
-    for u in candidate_actions(ctx.n, q):
-        val = ctx.lam if u else 0.0
-        for prob, nxt, q_next in _outcomes(b, ctx.graph, q, u, ctx.p):
-            val += prob * surrogate.value(t + 1, nxt, q_next)
-        if best_val is None or val < best_val:
-            best_u, best_val = u, val
-    return best_u, best_val
-
-
-class ExactStageValue(StageValue):
-    """Surrogate backed by a solved value function (this makes the one-step
-    minimizer the exact optimal policy)."""
-
-    def __init__(self, vf: ValueFunction):
-        self.vf = vf
-
-    def value(self, t, b, q):
-        return evaluate(self.vf.alpha_set(t, q), b).value
-
-
-class ZeroStageValue(StageValue):
-    """The all-zero surrogate; useful as a deliberately failing example."""
-
-    def value(self, t, b, q):
-        return 0.0
+    g = ctx.graph
+    return one_step_min(
+        cfg.n, q, cfg.lam,
+        lambda u: _outcomes(b, g, q, u, cfg.p),
+        lambda nxt, q_next: surrogate.value(t + 1, nxt, q_next),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +124,15 @@ class NeverTestPolicy:
         return 0
 
 
-def policy_never_test(ctx: PolicyContext) -> int:
-    return 0
-
-
 class RandomTestPolicy:
-    """Uniform draw over no-test plus the non-quarantined individuals."""
+    """Uniform draw over no-test plus the non-quarantined individuals, from
+    the context's rng stream."""
 
     needs_belief = False
 
     def __call__(self, ctx: PolicyContext) -> int:
-        return policy_random_test(ctx, ctx.rng)
-
-
-def policy_random_test(ctx: PolicyContext, rng: np.random.Generator) -> int:
-    candidates = candidate_actions(ctx.n, ctx.quarantine)
-    return int(candidates[rng.integers(len(candidates))])
+        candidates = candidate_actions(ctx.cfg.n, ctx.quarantine)
+        return int(candidates[ctx.rng.integers(len(candidates))])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +162,18 @@ def default_plan(cfg: ScenarioConfig) -> OpenLoopPlan:
     return OpenLoopPlan(tuple(acts))
 
 
+def _check_plan(plan: OpenLoopPlan, cfg: ScenarioConfig) -> OpenLoopPlan:
+    """A plan gives one action in [0, N] per step of the horizon."""
+    if len(plan) != cfg.horizon:
+        raise ValidationError(
+            f"plan length {len(plan)} does not match horizon {cfg.horizon}"
+        )
+    for u in plan.actions:
+        if not 0 <= u <= cfg.n:
+            raise ValidationError(f"plan action {u} outside [0, {cfg.n}]")
+    return plan
+
+
 class OpenLoopPolicy:
     """Executes a fixed plan, ignoring everything it learns."""
 
@@ -221,7 +186,7 @@ class OpenLoopPolicy:
         return self.plan.action_at(ctx.t)
 
 
-class OpenLoopValue(StageValue):
+class OpenLoopValue:
     """The plan's value function: one cost vector per (stage, quarantine).
 
     With no minimization the backward recursion keeps a single linear piece;
@@ -230,14 +195,7 @@ class OpenLoopValue(StageValue):
     """
 
     def __init__(self, plan: OpenLoopPlan, cfg: ScenarioConfig):
-        if len(plan) != cfg.horizon:
-            raise ValidationError(
-                f"plan length {len(plan)} does not match horizon {cfg.horizon}"
-            )
-        for u in plan.actions:
-            if not 0 <= u <= cfg.n:
-                raise ValidationError(f"plan action {u} outside [0, {cfg.n}]")
-        self.plan = plan
+        self.plan = _check_plan(plan, cfg)
         self.cfg = cfg
         self._alphas = {}
 
@@ -263,11 +221,6 @@ class OpenLoopValue(StageValue):
         return float(self.alpha(t, q) @ b.dense())
 
 
-def open_loop_value(plan: OpenLoopPlan, cfg: ScenarioConfig) -> OpenLoopValue:
-    """Per-stage value functional of the open-loop plan."""
-    return OpenLoopValue(plan, cfg)
-
-
 # ---------------------------------------------------------------------------
 # one-step minimizing policies (improvement, look-ahead, exact)
 # ---------------------------------------------------------------------------
@@ -285,7 +238,7 @@ class OneStepPolicy:
         self.surrogate = surrogate
 
     def __call__(self, ctx: PolicyContext) -> int:
-        if ctx.t >= ctx.horizon:
+        if ctx.t >= ctx.cfg.horizon:
             return 0
         action, _ = one_step_argmin(self.surrogate, ctx)
         return action
@@ -293,12 +246,13 @@ class OneStepPolicy:
 
 def policy_improved(plan: OpenLoopPlan, cfg: ScenarioConfig) -> OneStepPolicy:
     """One application of the improvement operator to the open-loop plan."""
-    return OneStepPolicy(open_loop_value(plan, cfg))
+    return OneStepPolicy(OpenLoopValue(plan, cfg))
 
 
 def extract_policy(vf: ValueFunction) -> OneStepPolicy:
-    """The optimal policy, read off a solved value function stage by stage."""
-    return OneStepPolicy(ExactStageValue(vf))
+    """The optimal policy, read off a solved value function stage by stage
+    (the value function is itself the surrogate)."""
+    return OneStepPolicy(vf)
 
 
 # ---------------------------------------------------------------------------
@@ -309,75 +263,60 @@ def extract_policy(vf: ValueFunction) -> OneStepPolicy:
 def _greedy_scores(ctx: PolicyContext):
     """Expected transmission pressure prevented by testing each individual:
     P(u infected, free) * p * (u's share of active contact weight)."""
-    step = dynamics(ctx.graph, ctx.quarantine, ctx.quarantine, ctx.p)
+    p, q = ctx.cfg.p, ctx.quarantine
+    step = dynamics(ctx.graph, q, q, p)
     scores = {}
-    for u in candidate_actions(ctx.n, ctx.quarantine)[1:]:
+    for u in candidate_actions(ctx.cfg.n, q)[1:]:
         share = step.active.incident_weight(u) / step.total if step.total > 0.0 else 0.0
-        scores[u] = marginal_infection(ctx.belief, u, ctx.quarantine) * ctx.p * share
+        scores[u] = marginal_infection(ctx.belief, u, q) * p * share
     return scores
 
 
-def policy_greedy(ctx: PolicyContext, literal: bool = False) -> int:
+class GreedyPolicy:
     """Exploitation-only rule: test the most dangerous individual.
 
-    Default form tests argmax of the prevented-pressure score when that score
-    exceeds the test cost, else does nothing. The ``literal`` form instead
-    takes argmin of score + cost, which degenerates to never testing whenever
-    the cost is positive; it is kept only for comparison.
+    Tests the argmax of the prevented-pressure score (lowest index on ties)
+    when that score exceeds the test cost, else does nothing.
     """
-    if ctx.t >= ctx.horizon:
-        return 0
-    scores = _greedy_scores(ctx)
-    if not scores:
-        return 0
-    if literal:
-        best_u, best_val = 0, 0.0
-        for u in sorted(scores):
-            val = scores[u] + ctx.lam
-            if val < best_val:
-                best_u, best_val = u, val
-        return best_u
-    best_u = min(scores, key=lambda u: (-scores[u], u))
-    return best_u if scores[best_u] > ctx.lam else 0
 
-
-class GreedyPolicy:
     needs_belief = True
 
-    def __init__(self, literal: bool = False):
-        self.literal = literal
-
     def __call__(self, ctx: PolicyContext) -> int:
-        return policy_greedy(ctx, literal=self.literal)
+        if ctx.t >= ctx.cfg.horizon:
+            return 0
+        scores = _greedy_scores(ctx)
+        if not scores:
+            return 0
+        best_u = min(scores, key=lambda u: (-scores[u], u))
+        return best_u if scores[best_u] > ctx.cfg.lam else 0
 
 
-def greedy_value(ctx: PolicyContext, literal: bool = False) -> float:
+def greedy_value(ctx: PolicyContext) -> float:
     """Two-stage cost under the greedy action: current expected infections,
     plus expected next-stage infections and the test cost if one is taken.
 
     At the terminal stage this is just the stage cost, so the function can
     serve as a value surrogate for look-ahead."""
-    b = ctx.belief
+    cfg, b = ctx.cfg, ctx.belief
     stage = expected_infections(b)
-    if ctx.t >= ctx.horizon:
+    if ctx.t >= cfg.horizon:
         return stage
-    u = policy_greedy(ctx, literal=literal)
+    u = GreedyPolicy()(ctx)
     nxt = sum(
         prob * expected_infections(nb)
-        for prob, nb, _ in _outcomes(b, ctx.graph, ctx.quarantine, u, ctx.p)
+        for prob, nb, _ in _outcomes(b, ctx.graph, ctx.quarantine, u, cfg.p)
     )
-    return stage + nxt + (ctx.lam if u else 0.0)
+    return stage + nxt + (cfg.lam if u else 0.0)
 
 
-class GreedyStageValue(StageValue):
+class GreedyStageValue:
     """greedy_value as a per-stage functional (the look-ahead surrogate)."""
 
-    def __init__(self, cfg: ScenarioConfig, literal: bool = False):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.literal = literal
 
     def value(self, t, b, q):
-        return greedy_value(_context_at(self.cfg, t, b, q), literal=self.literal)
+        return greedy_value(PolicyContext(self.cfg, t, b, q))
 
 
 def policy_one_step_lookahead(cfg: ScenarioConfig) -> OneStepPolicy:
@@ -401,16 +340,14 @@ def policy_tree_value(
     """Exact expected cost of a deterministic policy from stage t.
 
     Expands the reachable belief tree with the policy's action fixed at each
-    node. The policy must not consume randomness or look at revealed edges
-    (all bundled policies except the random baseline qualify).
+    node. The policy must not consume randomness (all bundled policies
+    except the random baseline qualify).
     """
-    dense0 = b0.dense() if hasattr(b0, "dense") else np.asarray(b0, dtype=np.float64)
 
     def action_fn(tt, bb, qq):
-        ctx = _context_at(cfg, tt, Belief.from_dense(bb, cfg.n), qq)
-        return policy(ctx)
+        return policy(PolicyContext(cfg, tt, Belief.from_dense(bb, cfg.n), qq))
 
-    return tree_value(cfg, dense0, q, t, action_fn=action_fn, node_cap=node_cap)
+    return tree_value(cfg, as_dense(b0), q, t, action_fn=action_fn, node_cap=node_cap)
 
 
 @dataclass
@@ -474,8 +411,7 @@ def check_lookahead_assumption(
             if t == T:
                 rhs = stage_cost_term
             else:
-                ctx = _context_at(cfg, t, b, q0)
-                _, qval = one_step_argmin(surrogate, ctx)
+                _, qval = one_step_argmin(surrogate, PolicyContext(cfg, t, b, q0))
                 rhs = stage_cost_term + qval
             rhs_cache[(t, pi)] = rhs
             assumption.append(AssumptionRecord(t, pi, lhs, rhs, lhs >= rhs - tol))
@@ -520,7 +456,7 @@ def make_policy(
     if name == "lookahead":
         return policy_one_step_lookahead(cfg)
     if name == "open_loop":
-        return OpenLoopPolicy(plan or default_plan(cfg))
+        return OpenLoopPolicy(_check_plan(plan or default_plan(cfg), cfg))
     if name == "improved":
         return policy_improved(plan or default_plan(cfg), cfg)
     if name == "exact":

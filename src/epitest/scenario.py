@@ -36,10 +36,6 @@ def state_from_bitstring(s: str) -> SystemState:
     return SystemState.from_bits(int(c) for c in s)
 
 
-def state_to_bitstring(state: SystemState) -> str:
-    return str(state)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Immutable description of one experiment instance."""
@@ -63,6 +59,8 @@ class ScenarioConfig:
             raise ValidationError(f"p out of range: {self.p}")
         if self.lam < 0.0:
             raise ValidationError(f"test cost must be >= 0, got {self.lam}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.schedule.horizon != self.horizon:
             raise ValidationError(
                 f"schedule covers {self.schedule.horizon} steps, horizon is {self.horizon}"
@@ -87,7 +85,7 @@ class ScenarioConfig:
             "lambda": self.lam,
             "seed": self.seed,
             "initial_belief": [
-                [state_to_bitstring(SystemState(m, self.n)), pr]
+                [str(SystemState(m, self.n)), pr]
                 for m, pr in self.initial_belief.probs.items()
             ],
             "graphs": [

@@ -1,11 +1,10 @@
 """Ground-truth episode dynamics with cost accounting and trace recording.
 
 One step runs in a fixed order: the active contact is drawn from the current
-non-quarantined subgraph, the policy picks a test (seeing the contact in the
-default visibility mode), a positive result quarantines the individual
-immediately, the stage cost is charged on the current hidden state, and only
-then may the infection cross the active contact, provided neither endpoint
-just went into quarantine.
+non-quarantined subgraph, the policy picks a test, a positive result
+quarantines the individual immediately, the stage cost is charged on the
+current hidden state, and only then may the infection cross the active
+contact, provided neither endpoint just went into quarantine.
 
 Randomness is split into four per-episode streams (initial state, active
 edges, transmissions, policy) derived from one seed, so two policies
@@ -33,10 +32,8 @@ from .model import (
     transmit_with_uniform,
     validate_action,
 )
-from .policies import _context_at
+from .policies import PolicyContext
 from .scenario import ScenarioConfig
-
-EDGE_VISIBILITY_MODES = ("before", "after")
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,6 @@ def run_episode(
     cfg: ScenarioConfig,
     policy,
     seed: Union[int, np.random.SeedSequence],
-    edge_visibility: str = "before",
 ) -> EpisodeTrace:
     """Simulate one episode; deterministic given the seed.
 
@@ -114,10 +110,6 @@ def run_episode(
     still costs lambda but cannot help). Policies advertising
     ``needs_belief = False`` skip the Bayes filter entirely.
     """
-    if edge_visibility not in EDGE_VISIBILITY_MODES:
-        raise ValidationError(
-            f"edge_visibility must be one of {EDGE_VISIBILITY_MODES}, got {edge_visibility!r}"
-        )
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_rng, edge_rng, trans_rng, policy_rng = map(np.random.default_rng, seq.spawn(4))
     seed_label = str(seq.entropy)
@@ -137,9 +129,7 @@ def run_episode(
         g = cfg.graph_at(t)
         q_before = q
         edge = sample_active_edge(g, q_before, edge_rng)
-        seen = edge if edge_visibility == "before" else None
-        ctx = _context_at(cfg, t, belief, q_before, revealed_edge=seen, rng=policy_rng)
-        u = validate_action(policy(ctx), cfg.n)
+        u = validate_action(policy(PolicyContext(cfg, t, belief, q_before, policy_rng)), cfg.n)
         y = None if u == 0 else int(x.infected(u))
         if u != 0:
             tests += 1
@@ -180,10 +170,10 @@ def _run_seed(base_seed: int, index: int) -> np.random.SeedSequence:
 
 
 def _episode_stats(args):
-    cfg, policy, base_seed, start, stop, edge_visibility = args
+    cfg, policy, base_seed, start, stop = args
     out = []
     for i in range(start, stop):
-        trace = run_episode(cfg, policy, _run_seed(base_seed, i), edge_visibility)
+        trace = run_episode(cfg, policy, _run_seed(base_seed, i))
         out.append((i, trace.total_cost, trace.tests_used, trace.final_infections))
     return out
 
@@ -194,7 +184,6 @@ def monte_carlo_eval(
     n_runs: int,
     base_seed: Optional[int] = None,
     workers: int = 1,
-    edge_visibility: str = "before",
 ) -> MonteCarloResult:
     """Run seeded episodes and aggregate in fixed run order.
 
@@ -209,11 +198,11 @@ def monte_carlo_eval(
         base_seed = cfg.seed
 
     if workers <= 1 or n_runs < 4:
-        rows = _episode_stats((cfg, policy, base_seed, 0, n_runs, edge_visibility))
+        rows = _episode_stats((cfg, policy, base_seed, 0, n_runs))
     else:
         bounds = np.linspace(0, n_runs, workers + 1).astype(int)
         chunks = [
-            (cfg, policy, base_seed, int(a), int(b), edge_visibility)
+            (cfg, policy, base_seed, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]

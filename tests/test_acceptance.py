@@ -17,12 +17,11 @@ from epitest.exact import solve
 from epitest.model import SystemState, sample_active_edge, sample_step, transition_kernel
 from epitest.oracle import oracle_value
 from epitest.policies import (
-    ExactStageValue,
     OpenLoopPlan,
+    OpenLoopValue,
     check_lookahead_assumption,
     extract_policy,
     make_policy,
-    open_loop_value,
     policy_improved,
     policy_tree_value,
 )
@@ -109,7 +108,7 @@ def test_criterion_3_policy_improvement(scenarios):
         plans = _plans_for(cfg)
         assert len(plans) >= 3
         for plan in plans:
-            olv = open_loop_value(plan, cfg)
+            olv = OpenLoopValue(plan, cfg)
             improved = policy_improved(plan, cfg)
             for b in probes:
                 for t in range(1, cfg.horizon + 1):
@@ -129,7 +128,7 @@ def test_criterion_4_lookahead_guarantee(scenarios):
         probes = probe_beliefs(cfg.n, 6, seed=4000 + cfg.n)
 
         # exact value function: the condition holds with equality
-        report = check_lookahead_assumption(ExactStageValue(solve(cfg)), cfg, probes)
+        report = check_lookahead_assumption(solve(cfg), cfg, probes)
         assert report.assumption_passed(), name
         for rec in report.assumption:
             assert rec.surrogate_value == pytest.approx(rec.bellman_rhs, abs=TOL), name

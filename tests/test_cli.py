@@ -111,3 +111,36 @@ class TestTrace:
             rec = json.loads(ln)
             assert set(rec) == {"t", "active_edge", "action", "observation",
                                 "quarantine_after", "true_state", "stage_cost"}
+
+
+class TestMalformedInput:
+    """Malformed flag values and scenario fields exit 2 and name the bad
+    value on stderr instead of escaping as a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["bench", "--policies", "open_loop", "--plan", "1,x"], ("--plan", "'x'")),
+        (["sandwich", "--grid-sizes", "2,,4"], ("--grid-sizes", "''")),
+        (["trace", "--run-index", "-1"], ("--run-index", "-1")),
+        (["validate", "--negative-seed"], ("seed", "-5")),
+        (["bench", "--negative-seed", "--n-runs", "5"], ("seed", "-5")),
+        (["bench", "--seed-override", "-5", "--n-runs", "5"], ("seed", "-5")),
+        (["bench", "--policies", "open_loop", "--plan", "1,2"], ("plan length 2",)),
+        (["bench", "--policies", "open_loop", "--plan", "1,2,9,0"], ("plan action 9",)),
+        (["solve-approx", "--grid-size", "-3"], ("--grid-size", "-3")),
+    ], ids=["plan-token", "grid-sizes-token", "run-index", "scenario-seed-validate",
+            "scenario-seed-bench", "seed-override", "plan-length", "plan-action",
+            "grid-size"])
+    def test_exit_2_names_the_value(self, argv, named, scenario_dir, tmp_path, capsys):
+        scenario = scenario_path(scenario_dir)
+        if "--negative-seed" in argv:
+            argv = [tok for tok in argv if tok != "--negative-seed"]
+            doc = yaml.safe_load((scenario_dir / "scenario_a.yaml").read_text())
+            doc["seed"] = -5
+            scenario = tmp_path / "negative_seed.yaml"
+            scenario.write_text(yaml.safe_dump(doc))
+        rc = main(argv[:1] + ["--scenario", str(scenario), "--out-dir", str(tmp_path / "out")]
+                  + argv[1:])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        for text in named:
+            assert text in err

@@ -198,11 +198,7 @@ class TestExtractPolicy:
         policy = extract_policy(vf)
         from epitest.policies import PolicyContext
 
-        ctx = PolicyContext(
-            belief=Belief.point(SystemState.from_bits((1, 1))),
-            t=1, quarantine=EMPTY, graph=cfg.graph_at(1), schedule=cfg.schedule,
-            revealed_edge=None, p=cfg.p, lam=cfg.lam, horizon=cfg.horizon, n=cfg.n,
-        )
+        ctx = PolicyContext(cfg, 1, Belief.point(SystemState.from_bits((1, 1))), EMPTY)
         assert policy(ctx) == 0
 
     def test_extracted_policy_achieves_solved_value(self):

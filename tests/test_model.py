@@ -10,6 +10,7 @@ from epitest.model import (
     flipped_vertex,
     infection_flows,
     kernel_matrix,
+    one_step_min,
     sample_active_edge,
     sample_step,
     single_flip,
@@ -249,3 +250,35 @@ class TestSampling:
             validate_action(4, 3)
         with pytest.raises(ContractViolation):
             validate_action(-1, 3)
+
+
+def _one_step_min(n, q, lam, children_by_action):
+    """one_step_min on hand-built children: each child is (probability, its
+    next-stage value), and the value function reads the value back."""
+    return one_step_min(
+        n, q, lam,
+        lambda u: [(prob, v, q) for prob, v in children_by_action[u]],
+        lambda v, q_next: v,
+    )
+
+
+class TestOneStepMin:
+    def test_exact_tie_with_a_test_goes_to_no_test(self):
+        # no test costs 1.0; testing 1 costs 0.5 + 0.5 * 0.5 + 0.5 * 0.5 = 1.0
+        children = {0: [(1.0, 1.0)], 1: [(0.5, 0.5), (0.5, 0.5)], 2: [(1.0, 2.0)]}
+        assert _one_step_min(2, frozenset(), 0.5, children) == (0, 1.0)
+
+    def test_tied_tests_go_to_the_lower_index(self):
+        # tests 2 and 3 both cost 1.5 < 2.0 for no test; 1 is quarantined, so
+        # its cheaper children are never weighed
+        children = {
+            0: [(1.0, 2.0)],
+            1: [(1.0, 0.0)],
+            2: [(0.5, 1.5), (0.5, 0.5)],
+            3: [(1.0, 1.0)],
+        }
+        assert _one_step_min(3, frozenset({1}), 0.5, children) == (2, 1.5)
+
+    def test_action_without_children_costs_lam(self):
+        children = {0: [(1.0, 1.0)], 1: [], 2: [(1.0, 1.0)]}
+        assert _one_step_min(2, frozenset(), 0.25, children) == (1, 0.25)

@@ -8,24 +8,20 @@ from epitest.exact import solve
 from epitest.model import ContactGraph, ContactSchedule, SystemState, kernel_matrix
 from epitest.oracle import oracle_value
 from epitest.policies import (
-    ExactStageValue,
     GreedyPolicy,
     NeverTestPolicy,
     OpenLoopPlan,
     OpenLoopPolicy,
+    OpenLoopValue,
     PolicyContext,
-    ZeroStageValue,
+    RandomTestPolicy,
     check_lookahead_assumption,
     default_plan,
     greedy_value,
     make_policy,
     one_step_argmin,
-    open_loop_value,
-    policy_greedy,
     policy_improved,
-    policy_never_test,
     policy_one_step_lookahead,
-    policy_random_test,
     policy_tree_value,
 )
 from epitest.presets import probe_beliefs, scenario_a, scenario_b
@@ -49,33 +45,35 @@ def config(n, horizon, p, lam, edges, belief=None, seed=0):
 
 
 def ctx_at(cfg, t, belief, q=EMPTY, rng=None):
-    return PolicyContext(
-        belief=belief, t=t, quarantine=q, graph=cfg.graph_at(t),
-        schedule=cfg.schedule, revealed_edge=None, p=cfg.p, lam=cfg.lam,
-        horizon=cfg.horizon, n=cfg.n, rng=rng,
-    )
+    return PolicyContext(cfg, t, belief, q, rng)
+
+
+class ZeroStageValue:
+    """The all-zero surrogate; useful as a deliberately failing example."""
+
+    def value(self, t, b, q):
+        return 0.0
 
 
 class TestBaselines:
     def test_never(self):
         cfg = scenario_a()
-        assert policy_never_test(ctx_at(cfg, 1, cfg.initial_belief)) == 0
+        assert NeverTestPolicy()(ctx_at(cfg, 1, cfg.initial_belief)) == 0
         assert NeverTestPolicy()(ctx_at(cfg, 3, cfg.initial_belief)) == 0
 
     def test_random_range_single_individual(self):
         cfg = config(1, 2, 0.5, 0.0, [])
-        rng = np.random.default_rng(0)
-        seen = {policy_random_test(ctx_at(cfg, 1, Belief.uniform(1)), rng) for _ in range(100)}
+        ctx = ctx_at(cfg, 1, Belief.uniform(1), rng=np.random.default_rng(0))
+        seen = {RandomTestPolicy()(ctx) for _ in range(100)}
         assert seen == {0, 1}
 
     def test_random_frequencies(self):
         cfg = scenario_a()
-        rng = np.random.default_rng(8)
         n_draws = 100_000
         counts = np.zeros(cfg.n + 1)
-        ctx = ctx_at(cfg, 1, cfg.initial_belief)
+        ctx = ctx_at(cfg, 1, cfg.initial_belief, rng=np.random.default_rng(8))
         for _ in range(n_draws):
-            counts[policy_random_test(ctx, rng)] += 1
+            counts[RandomTestPolicy()(ctx)] += 1
         expected = 1.0 / (cfg.n + 1)
         sigma = (expected * (1 - expected) / n_draws) ** 0.5
         assert np.all(np.abs(counts / n_draws - expected) < 3 * sigma)
@@ -84,22 +82,22 @@ class TestBaselines:
         cfg = scenario_a()
         rng = np.random.default_rng(3)
         ctx = ctx_at(cfg, 1, cfg.initial_belief, q=frozenset({2}), rng=rng)
-        assert all(policy_random_test(ctx, rng) != 2 for _ in range(200))
+        assert all(RandomTestPolicy()(ctx) != 2 for _ in range(200))
 
 
 class TestOpenLoop:
     def test_plan_length_checked(self):
         cfg = scenario_a()
         with pytest.raises(ValidationError):
-            open_loop_value(OpenLoopPlan((1, 2)), cfg)
+            OpenLoopValue(OpenLoopPlan((1, 2)), cfg)
         with pytest.raises(ValidationError):
-            open_loop_value(OpenLoopPlan((1, 2, 9, 0)), cfg)
+            OpenLoopValue(OpenLoopPlan((1, 2, 9, 0)), cfg)
 
     def test_never_test_plan_is_chain_moments(self):
         # all-zero plan: value is the sum of expected infections along the
         # uncontrolled chain, a linear functional of the belief
         cfg = scenario_a()
-        olv = open_loop_value(OpenLoopPlan((0, 0, 0, 0)), cfg)
+        olv = OpenLoopValue(OpenLoopPlan((0, 0, 0, 0)), cfg)
         P = kernel_matrix(cfg.graph_at(1), EMPTY, EMPTY, cfg.p)
         c = np.array([bin(m).count("1") for m in range(8)], dtype=float)
         expect = c + P @ c + P @ P @ c + P @ P @ P @ c
@@ -107,14 +105,14 @@ class TestOpenLoop:
 
     def test_horizon_one_plan_is_terminal(self):
         cfg = config(2, 1, 0.5, 0.5, [(1, 2, 1.0)])
-        olv = open_loop_value(OpenLoopPlan((1,)), cfg)
+        olv = OpenLoopValue(OpenLoopPlan((1,)), cfg)
         for b in probe_beliefs(2, 5):
             assert olv.value(1, b) == pytest.approx(expected_infections(b), abs=1e-12)
 
     def test_value_matches_paired_simulation(self):
         cfg = scenario_a().with_initial_belief(Belief.uniform(3))
         plan = OpenLoopPlan((1, 2, 3, 0))
-        olv = open_loop_value(plan, cfg)
+        olv = OpenLoopValue(plan, cfg)
         predicted = olv.value(1, cfg.initial_belief)
         res = monte_carlo_eval(cfg, OpenLoopPolicy(plan), 5000)
         assert abs(res.mean_cost - predicted) <= 3 * res.std_error
@@ -134,7 +132,7 @@ class TestImproved:
     def test_improvement_never_worse_than_plan(self):
         cfg = scenario_b()
         plan = OpenLoopPlan((1, 2, 3))
-        olv = open_loop_value(plan, cfg)
+        olv = OpenLoopValue(plan, cfg)
         improved = policy_improved(plan, cfg)
         for b in probe_beliefs(3, 8):
             for t in (1, 2, 3):
@@ -145,7 +143,7 @@ class TestImproved:
     def test_single_individual_improvement(self):
         cfg = config(1, 3, 0.0, 0.1, [])
         plan = OpenLoopPlan((1, 1, 1))
-        olv = open_loop_value(plan, cfg)
+        olv = OpenLoopValue(plan, cfg)
         improved = policy_improved(plan, cfg)
         for b in probe_beliefs(1, 6):
             assert policy_tree_value(cfg, improved, b) <= olv.value(1, b) + 1e-9
@@ -155,26 +153,21 @@ class TestGreedy:
     def test_tests_the_only_infected_spreader(self):
         cfg = config(3, 3, 0.5, 0.0, [(1, 2, 1.0), (2, 3, 1.0)])
         b = Belief.point(SystemState.from_bits((0, 1, 0)))
-        assert policy_greedy(ctx_at(cfg, 1, b)) == 2
+        assert GreedyPolicy()(ctx_at(cfg, 1, b)) == 2
 
     def test_cost_dominates(self):
         cfg = config(3, 3, 0.5, 10.0, [(1, 2, 1.0), (2, 3, 1.0)])
-        assert policy_greedy(ctx_at(cfg, 1, Belief.uniform(3))) == 0
+        assert GreedyPolicy()(ctx_at(cfg, 1, Belief.uniform(3))) == 0
 
     def test_matches_reference_enumeration(self):
         cfg = config(3, 3, 0.6, 0.05, [(1, 2, 0.5), (2, 3, 2.0)])
         for b in probe_beliefs(3, 12):
             for q in (EMPTY, frozenset({3})):
-                got = policy_greedy(ctx_at(cfg, 1, b, q=q))
+                got = GreedyPolicy()(ctx_at(cfg, 1, b, q=q))
                 want = greedy_action_reference(
                     3, b.probs, cfg.graph_at(1).edges, q, cfg.p, cfg.lam
                 )
                 assert got == want
-
-    def test_literal_form_degenerates(self):
-        cfg = config(3, 3, 0.6, 0.05, [(1, 2, 0.5), (2, 3, 2.0)])
-        for b in probe_beliefs(3, 5):
-            assert policy_greedy(ctx_at(cfg, 1, b), literal=True) == 0
 
     def test_weight_scaling_invariance(self):
         base_edges = [(1, 2, 0.7), (2, 3, 1.9)]
@@ -182,7 +175,7 @@ class TestGreedy:
         cfg1 = config(3, 3, 0.6, 0.05, base_edges)
         cfg2 = config(3, 3, 0.6, 0.05, scaled_edges)
         for b in probe_beliefs(3, 10):
-            assert policy_greedy(ctx_at(cfg1, 1, b)) == policy_greedy(ctx_at(cfg2, 1, b))
+            assert GreedyPolicy()(ctx_at(cfg1, 1, b)) == GreedyPolicy()(ctx_at(cfg2, 1, b))
 
     def test_value_zero_when_nobody_infected(self):
         cfg = config(2, 3, 0.5, 0.0, [(1, 2, 1.0)])
@@ -193,7 +186,7 @@ class TestGreedy:
         cfg = config(3, 3, 0.0, 0.2, [(1, 2, 1.0), (2, 3, 1.0)])
         for b in probe_beliefs(3, 6):
             ctx = ctx_at(cfg, 1, b)
-            tests = policy_greedy(ctx) != 0
+            tests = GreedyPolicy()(ctx) != 0
             want = 2 * expected_infections(b) + (0.2 if tests else 0.0)
             assert greedy_value(ctx) == pytest.approx(want, abs=1e-12)
 
@@ -223,7 +216,7 @@ class TestLookahead:
         policy = policy_one_step_lookahead(cfg)
         for b in probe_beliefs(1, 10):
             for t in (1, 2, 3):
-                assert policy(ctx_at(cfg, t, b)) == policy_greedy(ctx_at(cfg, t, b))
+                assert policy(ctx_at(cfg, t, b)) == GreedyPolicy()(ctx_at(cfg, t, b))
 
     def test_huge_cost_never_tests(self):
         cfg = config(3, 3, 0.5, 100.0, [(1, 2, 1.0), (2, 3, 1.0)])
@@ -259,7 +252,7 @@ class TestAssumptionCheck:
         cfg = scenario_b()
         vf = solve(cfg)
         probes = probe_beliefs(3, 4)
-        report = check_lookahead_assumption(ExactStageValue(vf), cfg, probes)
+        report = check_lookahead_assumption(vf, cfg, probes)
         assert report.assumption_passed()
         for rec in report.assumption:
             assert rec.surrogate_value == pytest.approx(rec.bellman_rhs, abs=1e-9)
@@ -344,5 +337,5 @@ class TestCertainOutcome:
         cfg, b = self.certain_carrier()
         vf = solve(cfg)
         ctx = ctx_at(cfg, 1, b)
-        _, qval = one_step_argmin(ExactStageValue(vf), ctx)
+        _, qval = one_step_argmin(vf, ctx)
         assert expected_infections(b) + qval == pytest.approx(vf.value(1, b), abs=1e-9)

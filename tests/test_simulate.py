@@ -86,15 +86,6 @@ class TestRunEpisode:
         with pytest.raises(ContractViolation):
             run_episode(cfg, AlwaysTest(7), 0)
 
-    def test_edge_visibility_modes(self):
-        cfg = scenario_a()
-        before = run_episode(cfg, GreedyPolicy(), 5, edge_visibility="before")
-        after = run_episode(cfg, GreedyPolicy(), 5, edge_visibility="after")
-        # greedy ignores the revealed edge, so traces agree
-        assert before == after
-        with pytest.raises(ValidationError):
-            run_episode(cfg, GreedyPolicy(), 5, edge_visibility="during")
-
     def test_trace_jsonl_shape(self):
         cfg = scenario_a()
         trace = run_episode(cfg, OpenLoopPolicy(OpenLoopPlan((1, 2, 3, 0))), 2)
