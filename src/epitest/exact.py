@@ -3,9 +3,11 @@
 The value function at each stage is piecewise linear and concave over the
 belief simplex, so it is represented by a finite set of cost vectors (one
 value per hidden state); evaluating means taking the minimum inner product.
-Backups enumerate, per action, every assignment of a next-stage vector to
-each observation branch, producing cross-sum vectors that are then pruned by
-exact pointwise domination.
+Backups build, per action, the cross-sum over observation branches of the
+next-stage vectors and prune by exact pointwise domination before each sum
+(incremental pruning, Cassandra, Littman & Zhang, UAI 1997). A last prune
+over all actions keeps a vector exactly when no earlier vector in (action,
+lexicographic values) order dominates it.
 
 Quarantine makes the transition structure action-history dependent, so the
 solver carries one vector set per (stage, reachable quarantine set). The
@@ -103,28 +105,63 @@ def evaluate(aset: AlphaSet, b) -> Evaluation:
 # ---------------------------------------------------------------------------
 
 
+_PRUNE_BLOCK = 256  # candidates tested together
+_PRUNE_CHUNK = 1 << 18  # (earlier row, candidate) pairs compared at once
+_DENSE_COORDS = 4  # coordinates compared for every pair before the rest are listed
+_BEFORE = np.triu(np.ones((_PRUNE_BLOCK, _PRUNE_BLOCK), dtype=bool), 1)  # [j, i]: j < i
+
+
+def _dominated(earlier: np.ndarray, block: np.ndarray, in_block: bool = False):
+    """Per column of ``block``: does a column of ``earlier`` weakly dominate
+    it? Both hold one row per coordinate. With ``in_block``, ``earlier`` is
+    ``block`` and only the columns before a candidate count. The first
+    coordinates are compared for every pair, then the pairs left are listed."""
+    hit = np.zeros(block.shape[1], dtype=bool)
+    step = max(1, _PRUNE_CHUNK // block.shape[1])
+    for lo in range(0, earlier.shape[1], step):
+        part = earlier[:, lo : lo + step]
+        le = _BEFORE[lo : lo + part.shape[1], : block.shape[1]] if in_block else True
+        for a, b in zip(part[:_DENSE_COORDS], block):
+            le = le & (a[:, None] <= b)
+        j, i = np.nonzero(le)
+        for a, b in zip(part[_DENSE_COORDS:], block[_DENSE_COORDS:]):
+            ok = a[j] <= b[i]
+            j, i = j[ok], i[ok]
+        hit[i] = True
+    return hit
+
+
 def _canonical_prune(stacked: np.ndarray, actions: np.ndarray):
-    """Sort by (action, lexicographic values), dedupe, then drop every vector
-    weakly dominated componentwise by an earlier survivor.
+    """Sort by (action, lexicographic values) and keep a vector exactly when
+    no earlier vector in that order weakly dominates it componentwise, so one
+    copy of exact duplicates survives.
 
-    Pointwise domination is exact: it never changes the represented min at
-    any belief on the simplex.
+    The sorted candidates go a block at a time against the rows before them
+    in the block, then against a preallocated buffer of the survivors so far
+    (enough, as domination is transitive), in chunks of a few megabytes; with
+    several blocks, the widest-range coordinates are compared first. Pointwise
+    domination is exact: it never changes the represented min at any belief
+    on the simplex. Returns the survivor matrix and their actions.
     """
-    keys = tuple(stacked[:, c] for c in range(stacked.shape[1] - 1, -1, -1)) + (actions,)
-    order = np.lexsort(keys)
+    order = np.lexsort((*stacked.T[::-1], actions))
     stacked, actions = stacked[order], actions[order]
+    cols = stacked.T
+    if cols.shape[1] > _PRUNE_BLOCK:
+        cols = cols[np.argsort(cols.min(axis=1) - cols.max(axis=1), kind="stable")]
+    kept = np.empty(cols.shape)
+    kept_idx = []
+    for lo in range(0, cols.shape[1], _PRUNE_BLOCK):
+        block = cols[:, lo : lo + _PRUNE_BLOCK]
+        idx = np.flatnonzero(~_dominated(block, block, in_block=True))
+        if kept_idx:
+            idx = idx[~_dominated(kept[:, : len(kept_idx)], block[:, idx])]
+        kept[:, len(kept_idx) : len(kept_idx) + len(idx)] = block[:, idx]
+        kept_idx.extend((idx + lo).tolist())
+    return stacked[kept_idx], actions[kept_idx].tolist()
 
-    kept_rows = []
-    kept_actions = []
-    kept_mat = None
-    for row, act in zip(stacked, actions):
-        if kept_mat is not None:
-            if np.any(np.all(kept_mat <= row, axis=1)):
-                continue
-        kept_rows.append(row)
-        kept_actions.append(int(act))
-        kept_mat = np.vstack([kept_mat, row[None, :]]) if kept_mat is not None else row[None, :]
-    return kept_rows, kept_actions
+
+def _prune_one_action(rows: np.ndarray, u: int) -> np.ndarray:
+    return rows if len(rows) < 2 else _canonical_prune(rows, np.full(len(rows), u))[0]
 
 
 def exact_backup(
@@ -142,6 +179,11 @@ def exact_backup(
     contributes the cross-sum, over its observation branches (see
     :func:`branches`), of the branch's next-stage vectors pulled back one
     step and restricted to the states that give its outcome.
+
+    Each branch's set, and each partial cross-sum before the next branch,
+    drops the rows another row of the same action dominates. Addition is
+    monotone, so a dropped row's completions are dominated by ones that sort
+    earlier, and the final prune keeps what it would keep of the full sum.
     """
     n = g.n_vertices
 
@@ -164,6 +206,7 @@ def exact_backup(
             back = backs[q_next]
             if y is not None:
                 back = outcome_indicator(n, u, y) * back
+            rows, back = _prune_one_action(rows, u), _prune_one_action(back, u)
             rows = (rows[:, None, :] + back[None, :, :]).reshape(-1, len(c))
         stacked.append(rows)
         actions.append(np.full(len(rows), u))

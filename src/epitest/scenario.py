@@ -104,6 +104,15 @@ class ScenarioConfig:
         return replace(self, initial_belief=belief)
 
 
+def _number(kind, raw, what: str):
+    """``kind(raw)``, or a ValidationError naming ``what`` and the value."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{what} must be {noun}, got {raw!r}") from None
+
+
 def _parse_belief(n: int, raw) -> Belief:
     if isinstance(raw, str):
         raw = [[raw, 1.0]]  # a point state
@@ -117,7 +126,7 @@ def _parse_belief(n: int, raw) -> Belief:
         state = state_from_bitstring(str(bits))
         if state.n != n:
             raise ValidationError(f"belief state {bits!r} has length {state.n}, n={n}")
-        pairs.append((state, float(pr)))
+        pairs.append((state, _number(float, pr, f"probability of belief state {bits!r}")))
     return Belief.from_pairs(n, pairs)
 
 
@@ -128,7 +137,7 @@ def _parse_graph(n: int, raw) -> ContactGraph:
     for e in raw["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) != 3:
             raise ValidationError(f"edge {e!r} is not [i, j, w]")
-        edges.append((int(e[0]), int(e[1]), float(e[2])))
+        edges.append(tuple(_number(k, v, f"edge {e!r}") for k, v in zip((int, int, float), e)))
     return ContactGraph.from_edges(n, edges)
 
 
@@ -144,11 +153,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if unknown:
         raise ValidationError(f"scenario has unknown keys: {sorted(unknown)}")
 
-    n = int(doc["n"])
-    horizon = int(doc["horizon"])
-    p = float(doc["p"])
-    lam = float(doc["lambda"])
-    seed = int(doc["seed"])
+    n, horizon, seed = (_number(int, doc[k], k) for k in ("n", "horizon", "seed"))
+    p, lam = (_number(float, doc[k], k) for k in ("p", "lambda"))
 
     raw_graphs = doc["graphs"]
     if isinstance(raw_graphs, dict):

@@ -3,12 +3,16 @@
 Everything here is deliberately written from first principles in plain
 Python dictionaries (no shared code with the package internals): transition
 probabilities come from enumerating (active edge, crossing) outcomes, and
-posteriors come from enumerating whole hidden-state paths.
+posteriors come from enumerating whole hidden-state paths. The one numpy
+routine, :func:`canonical_prune`, is the original row-by-row domination
+loop of the exact solver, kept as the reference for its vectorized form.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 
 def step_distribution(n, edges, q_edges, q_active, p, x_mask):
@@ -149,3 +153,23 @@ def all_histories(n, length):
     actions 0..n, observation branches 0/1 for real tests, None otherwise."""
     step_options = [(0, None)] + [(a, y) for a in range(1, n + 1) for y in (0, 1)]
     return list(product(step_options, repeat=length))
+
+
+def canonical_prune(stacked, actions):
+    """Sort by (action, lexicographic values), dedupe, then drop every vector
+    weakly dominated componentwise by an earlier survivor (one row at a time)."""
+    keys = tuple(stacked[:, c] for c in range(stacked.shape[1] - 1, -1, -1)) + (actions,)
+    order = np.lexsort(keys)
+    stacked, actions = stacked[order], actions[order]
+
+    kept_rows = []
+    kept_actions = []
+    kept_mat = None
+    for row, act in zip(stacked, actions):
+        if kept_mat is not None:
+            if np.any(np.all(kept_mat <= row, axis=1)):
+                continue
+        kept_rows.append(row)
+        kept_actions.append(int(act))
+        kept_mat = np.vstack([kept_mat, row[None, :]]) if kept_mat is not None else row[None, :]
+    return kept_rows, kept_actions

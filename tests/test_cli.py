@@ -144,3 +144,33 @@ class TestMalformedInput:
         assert rc == 2, err
         for text in named:
             assert text in err
+
+    @pytest.mark.parametrize("key, path, bad, named", [
+        ("seed", (), "abc", ("seed", "'abc'")),
+        ("n", (), "three", ("n", "'three'")),
+        ("horizon", (), [4], ("horizon", "[4]")),
+        ("p", (), "half", ("p", "'half'")),
+        ("lambda", (), None, ("lambda", "None")),
+        ("seed", (), float("inf"), ("seed", "inf")),
+        ("graphs", ("edges", 0, 2), "heavy", ("edge [1, 2, 'heavy']", "'heavy'")),
+        ("graphs", ("edges", 1, 0), "two", ("edge ['two', 3, 1.0]", "'two'")),
+        ("initial_belief", (2, 1), "quarter", ("'010'", "'quarter'")),
+    ], ids=["seed", "n", "horizon", "p", "lambda", "seed-inf", "edge-weight",
+            "edge-endpoint", "belief-probability"])
+    def test_non_numeric_scenario_field(self, key, path, bad, named, scenario_dir,
+                                        tmp_path, capsys):
+        doc = yaml.safe_load((scenario_dir / "scenario_a.yaml").read_text())
+        if path:
+            target = doc[key]
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = bad
+        else:
+            doc[key] = bad
+        scenario = tmp_path / "bad_field.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        rc = main(["validate", "--scenario", str(scenario)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        for text in named:
+            assert text in err

@@ -183,6 +183,45 @@ class TestOracle:
         assert np.all(out >= -1e-15)
 
 
+def random_graph(n, rng, zero_edge=False):
+    """Seeded weights on a random edge set; optionally one zero-weight edge."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = [(i, j, float(rng.choice([0.5, 1.0, 2.0]))) for i, j in pairs if rng.random() < 0.5]
+    if zero_edge:
+        edges = [e for e in edges if e[:2] != (1, n)] + [(1, n, 0.0)]
+    return ContactGraph.from_edges(n, edges)
+
+
+def random_beliefs(n, rng):
+    """A point state, a full-support Dirichlet draw and a sparse spread."""
+    point = Belief.point(SystemState(int(rng.integers(1 << n)), n))
+    full = Belief.from_dense(rng.dirichlet(np.ones(1 << n)), n)
+    sparse = np.zeros(1 << n)
+    sparse[rng.choice(1 << n, size=3, replace=False)] = rng.dirichlet(np.ones(3))
+    return [point, full, Belief.from_dense(sparse, n)]
+
+
+class TestOracleAtLargerN:
+    """solve() against the brute-force oracle beyond the N <= 3 presets."""
+
+    @pytest.mark.parametrize("n, horizon, p, lam, seed, per_step", [
+        (4, 5, 0.5, 0.4, 11, False),  # static graph with a zero-weight edge
+        (5, 4, 0.6, 0.3, 12, True),  # a different graph at every step
+    ], ids=["n4-static-zero-edge", "n5-schedule"])
+    def test_matches_oracle(self, n, horizon, p, lam, seed, per_step):
+        rng = np.random.default_rng(seed)
+        if per_step:
+            schedule = ContactSchedule(
+                horizon, tuple(random_graph(n, rng, zero_edge=t == 0) for t in range(horizon))
+            )
+        else:
+            schedule = ContactSchedule.static(horizon, random_graph(n, rng, zero_edge=True))
+        cfg = ScenarioConfig(n, horizon, p, lam, schedule, Belief.uniform(n), 0)
+        vf = solve(cfg)
+        for b in random_beliefs(n, rng):
+            assert vf.value(1, b) == pytest.approx(oracle_value(cfg, b), abs=1e-9)
+
+
 class TestExtractPolicy:
     def test_huge_test_cost_never_tests(self):
         cfg = tiny_config(2, 3, 0.5, 100.0, [(1, 2, 1.0)])
