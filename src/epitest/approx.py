@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .beliefs import Belief, as_dense
+from .beliefs import SUM_TOLERANCE, Belief, as_dense
 from .errors import CoverageError, SizeCapError, ValidationError
 from .exact import (
     AlphaSet,
@@ -64,9 +64,11 @@ class BeliefGrid:
         if not self.points:
             raise ValidationError("belief grid needs at least one point")
         size = 1 << self.n
-        for pt in self.points:
+        for k, pt in enumerate(self.points):
             if len(pt) != size:
                 raise ValidationError("grid point dimension mismatch")
+            if not np.all(np.isfinite(pt) & (np.asarray(pt) >= 0.0)):
+                raise ValidationError(f"grid point {k} has a negative or non-finite entry")
 
     def matrix(self) -> np.ndarray:
         return np.stack(self.points)
@@ -165,6 +167,14 @@ class _HullInterpolator:
     feasible mu certifies a lower bound (concavity), and the maximum is the
     tightest certificate the grid can give. Infeasibility means the belief
     lies outside the grid's hull.
+
+    Support rule: grid points are nonnegative, so mu_j > 0 only when
+    supp(g_j) is inside supp(b). When the only such points are corners, one
+    per state of supp(b), mu is forced to equal b and the optimum is exactly
+    sum_s b_s v_corner(s), with no LP. Interior points of a random grid have
+    full support, so every belief with a zero coordinate (test-outcome
+    branches, children of corners) is settled this way; anything else, and
+    any belief that is not a distribution, goes to the LP.
     """
 
     def __init__(self, grid: BeliefGrid):
@@ -172,6 +182,23 @@ class _HullInterpolator:
         pts = grid.matrix()
         self._a_eq = np.vstack([pts.T, np.ones(len(grid))])
         self._cache = {}
+        is_corner = (pts.max(axis=1) == 1.0) & (np.count_nonzero(pts, axis=1) == 1)
+        states = pts[is_corner].argmax(axis=1)
+        self._corner = np.full(pts.shape[1], -1)  # state -> corner column
+        self._corner[states] = np.flatnonzero(is_corner)
+        self._corner[np.bincount(states, minlength=pts.shape[1]) > 1] = -1  # duplicates
+        self._others = pts[~is_corner] > 0.0  # supports of the non-corner points
+
+    def _settle(self, b: np.ndarray, values: np.ndarray):
+        """The LP optimum in closed form, or None when the support leaves a choice."""
+        if (b.shape != self._corner.shape or not b.min() >= 0.0
+                or abs(b.sum() - 1.0) > SUM_TOLERANCE):
+            return None
+        inside = b > 0.0
+        cols = self._corner[inside]
+        if (cols < 0).any() or not self._others[:, ~inside].any(axis=1).all():
+            return None
+        return float(b[inside] @ values[cols])
 
     def value(self, b: np.ndarray, values: np.ndarray) -> float:
         b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
@@ -179,16 +206,15 @@ class _HullInterpolator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        res = linprog(
-            -values,
-            A_eq=self._a_eq,
-            b_eq=np.concatenate([b, [1.0]]),
-            bounds=(0.0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            raise CoverageError(b)
-        out = float(-res.fun)
+        out = self._settle(b, values)
+        if out is None:
+            res = linprog(-values, A_eq=self._a_eq, b_eq=np.concatenate([b, [1.0]]),
+                          bounds=(0.0, None), method="highs")
+            if res.status != 0:
+                raise CoverageError(b, f"belief with support {np.count_nonzero(b)} of {b.size} "
+                                    f"states is outside the hull of grid "
+                                    f"{self.grid.descriptor!r} ({len(self.grid)} points)")
+            out = float(-res.fun)
         self._cache[key] = out
         return out
 
@@ -233,8 +259,9 @@ def approx_solve_lower(
 ) -> LowerBound:
     """Backward recursion restricted to grid points.
 
-    Raises CoverageError (naming the belief) if some branch belief leaves the
-    grid's convex hull; including all corners in the grid rules that out.
+    Raises CoverageError (naming the grid and the belief's support size) if
+    some branch belief leaves the grid's convex hull; including all corners in
+    the grid rules that out.
     """
     _check_grid(cfg, grid, max_n)
     T = cfg.horizon

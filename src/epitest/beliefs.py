@@ -9,6 +9,7 @@ transition structure (:func:`predict_belief`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,8 +56,11 @@ class Belief:
             pr = float(self.probs[mask])
             if not 0 <= mask < (1 << self.n):
                 raise ValidationError(f"support mask {mask} out of range for n={self.n}")
-            if pr < 0.0:
-                raise ValidationError(f"negative probability {pr} at mask {mask}")
+            if not 0.0 <= pr < math.inf:
+                raise ValidationError(
+                    f"probability of state {SystemState(mask, self.n)} must be a finite "
+                    f"number >= 0, got {pr}"
+                )
             if pr == 0.0:
                 continue
             clean[mask] = pr

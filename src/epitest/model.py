@@ -16,6 +16,7 @@ the toolkit break toward the lowest index.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -149,8 +150,8 @@ class ContactGraph:
                 raise ValidationError(f"self-loop ({i},{j}) not allowed")
             if not (1 <= i <= self.n_vertices and 1 <= j <= self.n_vertices):
                 raise ValidationError(f"edge ({i},{j}) has vertex outside [1,{self.n_vertices}]")
-            if w < 0:
-                raise ValidationError(f"edge ({i},{j}) has negative weight {w}")
+            if not 0 <= w < math.inf:
+                raise ValidationError(f"edge ({i},{j}) weight must be a finite number >= 0, got {w}")
             a, b = (i, j) if i < j else (j, i)
             if (a, b) in seen:
                 raise ValidationError(f"duplicate edge for pair ({a},{b})")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 import yaml
 
@@ -57,8 +58,8 @@ class ScenarioConfig:
             raise ValidationError(f"horizon {self.horizon} must be >= 1")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"p out of range: {self.p}")
-        if self.lam < 0.0:
-            raise ValidationError(f"test cost must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValidationError(f"lambda (test cost) must be a finite number >= 0, got {self.lam}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.schedule.horizon != self.horizon:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from epitest import approx
 from epitest.approx import (
     BeliefGrid,
+    _branch_children,
+    _HullInterpolator,
     approx_solve_lower,
     approx_solve_upper,
     nested_grid_ladder,
@@ -12,7 +16,13 @@ from epitest.approx import (
 from epitest.beliefs import Belief
 from epitest.errors import CoverageError, SizeCapError, ValidationError
 from epitest.exact import AlphaSet, AlphaVector, evaluate, solve
-from epitest.model import ContactGraph, ContactSchedule, infection_counts
+from epitest.model import (
+    ContactGraph,
+    ContactSchedule,
+    branches,
+    candidate_actions,
+    infection_counts,
+)
 from epitest.oracle import oracle_value
 from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import ScenarioConfig
@@ -54,6 +64,11 @@ class TestGrids:
     def test_dimension_check(self):
         with pytest.raises(ValidationError):
             BeliefGrid(2, [np.ones(3) / 3], "bad")
+
+    @pytest.mark.parametrize("bad", [-0.25, float("nan"), float("inf")])
+    def test_rejects_negative_and_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="grid point 1"):
+            BeliefGrid(1, [np.array([1.0, 0.0]), np.array([1.0 - bad, bad])], "bad")
 
 
 class TestPruneAtPoints:
@@ -126,8 +141,144 @@ class TestLowerBound:
     def test_coverage_error_without_corners(self):
         cfg = scenario_c()
         lonely = BeliefGrid(2, [np.full(4, 0.25)], "center-only")
-        with pytest.raises(CoverageError):
+        with pytest.raises(CoverageError) as info:
             approx_solve_lower(cfg, lonely)
+        support = np.count_nonzero(info.value.belief_dense)
+        assert info.value.belief_dense.shape == (4,)
+        assert f"support {support} of 4 states" in str(info.value)
+        assert "grid 'center-only' (1 points)" in str(info.value)
+
+
+def reference_hull_value(grid, b, values):
+    """The interpolation LP exactly as stated, solved with no support rule."""
+    pts = grid.matrix()
+    res = linprog(
+        -values,
+        A_eq=np.vstack([pts.T, np.ones(len(grid))]),
+        b_eq=np.concatenate([b, [1.0]]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def ring(n):
+    edges = [(i, i + 1, 1.0) for i in range(1, n)]
+    return ContactGraph.from_edges(n, edges + ([(1, n, 0.5)] if n > 2 else []))
+
+
+def beliefs_for(grid, rng):
+    """Point masses, full-support and sparse Dirichlet beliefs, and the
+    branch children of grid points (every interior point, some corners)."""
+    n, size = grid.n, 1 << grid.n
+    out = list(np.eye(size))
+    out += [rng.dirichlet(np.ones(size)) for _ in range(4)]
+    for _ in range(6):
+        b = np.zeros(size)
+        keep = rng.choice(size, size=rng.integers(1, size), replace=False)
+        b[keep] = rng.dirichlet(np.ones(len(keep)))
+        out.append(b)
+    g = ring(n)
+    interior = [pt for pt in grid.points if np.count_nonzero(pt) > 1]
+    sources = interior + grid.points[:: 1 + size // 4]
+    for q in (frozenset(), frozenset({1})):
+        for u in candidate_actions(n, q):
+            branch_set = branches(g, q, u, 0.5)
+            for pt in sources:
+                out += [child for _, child, _ in _branch_children(pt, u, branch_set, n)]
+    return out
+
+
+def duplicated_corner_grid(n, seed):
+    corners = list(np.eye(1 << n))
+    interior = BeliefGrid.uniform_random(n, 2, seed).points
+    return BeliefGrid(n, corners + [corners[0].copy()] + interior, "duplicated-corner")
+
+
+class TestHullInterpolator:
+    """The interpolator, with its support rule, against the plain LP."""
+
+    GRIDS = (
+        [nested_grid_ladder(n, [3], seed=40 + n)[0] for n in (2, 3, 4, 5)]
+        + [BeliefGrid.regular(1, 4), BeliefGrid.regular(2, 3), BeliefGrid.regular(3, 2)]
+        + [duplicated_corner_grid(2, 5), duplicated_corner_grid(3, 6)]
+    )
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.n}-{g.descriptor}")
+    def test_matches_plain_lp(self, grid):
+        rng = np.random.default_rng(len(grid))
+        values = rng.uniform(0.0, grid.n, size=len(grid))
+        interp = _HullInterpolator(grid)
+        for b in beliefs_for(grid, rng):
+            assert abs(interp.value(b, values) - reference_hull_value(grid, b, values)) <= 1e-12
+
+    def test_duplicated_corner_takes_the_better_copy(self):
+        grid = BeliefGrid(1, [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                              np.array([1.0, 0.0])], "duplicated-corner")
+        b = np.array([0.25, 0.75])
+        assert _HullInterpolator(grid).value(b, np.array([3.0, 2.0, 1.0])) == pytest.approx(
+            0.25 * 3.0 + 0.75 * 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("grid", [
+        BeliefGrid(2, [np.full(4, 0.25)], "center-only"),
+        BeliefGrid.uniform_random(3, 4, seed=12),
+    ], ids=["center-only", "random-no-corners"])
+    def test_cornerless_grid_raises_for_sparse_and_full_beliefs(self, grid):
+        rng = np.random.default_rng(3)
+        size = 1 << grid.n
+        sparse = np.zeros(size)
+        sparse[[0, size - 1]] = 0.5
+        for b in (np.eye(size)[1], sparse, rng.dirichlet(np.ones(size))):
+            with pytest.raises(CoverageError):
+                _HullInterpolator(grid).value(b, np.ones(len(grid)))
+
+    @pytest.mark.parametrize("b", [[0.5, 0.0, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0]],
+                             ids=["half-mass", "negative-entry"])
+    def test_non_distribution_is_left_to_the_lp(self, b):
+        with pytest.raises(CoverageError):
+            _HullInterpolator(BeliefGrid.corners(2)).value(np.array(b), np.ones(4))
+
+    def test_lower_bound_tables_match_the_plain_lp(self, monkeypatch):
+        cfg = scenario_c()
+        grid = BeliefGrid.corners_plus_random(2, 4, seed=1)
+        settled = approx_solve_lower(cfg, grid)
+        monkeypatch.setattr(_HullInterpolator, "_settle", lambda self, b, values: None)
+        plain = approx_solve_lower(cfg, grid)
+        assert settled.tables.keys() == plain.tables.keys()
+        for key, vals in plain.tables.items():
+            assert np.allclose(settled.tables[key], vals, rtol=0.0, atol=1e-12)
+
+
+class TestLpSolveCount:
+    """Beliefs with a zero coordinate are settled by support, never by HiGHS."""
+
+    @pytest.fixture
+    def lp_beliefs(self, monkeypatch):
+        seen = []
+        real = approx.linprog
+
+        def counting(c, **kwargs):
+            seen.append(kwargs["b_eq"][:-1].copy())
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(approx, "linprog", counting)
+        return seen
+
+    @pytest.mark.parametrize("make", [scenario_a, scenario_c])
+    def test_corner_grid_solves_no_lp(self, make, lp_beliefs):
+        cfg = make()
+        lb = approx_solve_lower(cfg, BeliefGrid.corners(cfg.n))
+        for b in probe_beliefs(cfg.n, 4):
+            lb.value(1, b)
+        assert lp_beliefs == []
+
+    def test_sandwich_sends_only_full_support_beliefs_to_the_lp(self, lp_beliefs):
+        cfg = scenario_c()
+        sw = sandwich(cfg, BeliefGrid.corners_plus_random(2, 4, seed=1), probe_beliefs(2, 8))
+        assert not sw.violations
+        assert lp_beliefs, "interior grid points still need the LP"
+        assert all(np.all(b > 0.0) for b in lp_beliefs)
 
 
 class TestSandwich:

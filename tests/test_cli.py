@@ -155,8 +155,16 @@ class TestMalformedInput:
         ("graphs", ("edges", 0, 2), "heavy", ("edge [1, 2, 'heavy']", "'heavy'")),
         ("graphs", ("edges", 1, 0), "two", ("edge ['two', 3, 1.0]", "'two'")),
         ("initial_belief", (2, 1), "quarter", ("'010'", "'quarter'")),
+        ("lambda", (), float("nan"), ("lambda", "nan")),
+        ("lambda", (), float("inf"), ("lambda", "inf")),
+        ("graphs", ("edges", 0, 2), float("nan"), ("edge (1,2)", "nan")),
+        ("graphs", ("edges", 1, 2), float("inf"), ("edge (2,3)", "inf")),
+        ("initial_belief", (0, 1), float("nan"), ("000", "nan")),
+        ("initial_belief", (3, 1), float("inf"), ("001", "inf")),
     ], ids=["seed", "n", "horizon", "p", "lambda", "seed-inf", "edge-weight",
-            "edge-endpoint", "belief-probability"])
+            "edge-endpoint", "belief-probability", "lambda-nan", "lambda-inf",
+            "edge-weight-nan", "edge-weight-inf", "belief-probability-nan",
+            "belief-probability-inf"])
     def test_non_numeric_scenario_field(self, key, path, bad, named, scenario_dir,
                                         tmp_path, capsys):
         doc = yaml.safe_load((scenario_dir / "scenario_a.yaml").read_text())
