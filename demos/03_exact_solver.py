@@ -14,14 +14,14 @@ print(f"scenario C (N={cfg.n}, T={cfg.horizon}, p={cfg.p}, lambda={cfg.lam})")
 for t in range(1, cfg.horizon + 1):
     aset = vf.alpha_set(t)
     print(f"  stage {t}: {len(aset)} vector(s)")
-    for vec in aset.vectors:
-        vals = ", ".join(f"{v:.3f}" for v in vec.values)
-        print(f"    action {vec.action}: [{vals}]")
+    for action, vec in zip(aset.actions, aset.values):
+        vals = ", ".join(f"{v:.3f}" for v in vec)
+        print(f"    action {action}: [{vals}]")
 
 b0 = cfg.initial_belief
 val, idx = evaluate(vf.alpha_set(1), b0)
 print(f"\nvalue at the uniform prior: {val:.6f} "
-      f"(minimizing vector #{idx}, action {vf.alpha_set(1).vectors[idx].action})")
+      f"(minimizing vector #{idx}, action {vf.alpha_set(1).actions[idx]})")
 
 # The brute-force tree oracle shares no code with the alpha machinery and
 # lands on the same number.

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .exact import (
     AlphaSet,
-    AlphaVector,
     ValueFunction,
     evaluate,
     exact_backup,

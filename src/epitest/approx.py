@@ -25,7 +25,8 @@ from .exact import (
     AlphaSet,
     ValueFunction,
     _backward_induction,
-    _reachable_quarantines,
+    _terminal_set,
+    exact_backup,
 )
 from .model import (
     EMPTY_QUARANTINE,
@@ -133,10 +134,9 @@ def prune_at_points(aset: AlphaSet, grid: BeliefGrid) -> AlphaSet:
     original order. The pruned set agrees with the full set at every grid
     point by construction.
     """
-    dots = aset.matrix() @ grid.matrix().T  # |set| x R
-    winners = sorted(set(int(i) for i in np.argmin(dots, axis=0)))
-    vectors = [aset.vectors[i] for i in winners]
-    return AlphaSet(vectors, t=aset.t, quarantine=aset.quarantine)
+    dots = aset.values @ grid.matrix().T  # |set| x R
+    winners = np.unique(np.argmin(dots, axis=0))
+    return AlphaSet(aset.values[winners], aset.actions[winners], aset.t, aset.quarantine)
 
 
 def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid, max_n: int):
@@ -152,7 +152,12 @@ def approx_solve_upper(
     """Backward recursion with sample-point pruning after every backup; the
     result dominates the true value function everywhere."""
     _check_grid(cfg, grid, max_n)
-    return _backward_induction(cfg, prune=lambda aset: prune_at_points(aset, grid))
+    table = _backward_induction(
+        cfg,
+        lambda q: _terminal_set(cfg, q),
+        lambda nxt, g, q: prune_at_points(exact_backup(nxt, g, q, cfg.p, cfg.lam), grid),
+    )
+    return ValueFunction(cfg.n, cfg.horizon, table)
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +269,24 @@ def approx_solve_lower(
     the grid rules that out.
     """
     _check_grid(cfg, grid, max_n)
-    T = cfg.horizon
     c = infection_counts(cfg.n)
     interp = _HullInterpolator(grid)
     pts = grid.matrix()
-    tables = {}
-    for q in _reachable_quarantines(cfg.n, T - 1):
-        tables[(T, q)] = pts @ c
-    for t in range(T - 1, 0, -1):
-        g = cfg.graph_at(t)
-        for q in _reachable_quarantines(cfg.n, t - 1):
-            branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
-            vals = np.empty(len(grid))
-            for r, bf in enumerate(grid.points):
-                _, best = one_step_min(
-                    cfg.n, q, cfg.lam,
-                    lambda u: _branch_children(bf, u, branch_sets[u], cfg.n),
-                    lambda child, q_next: interp.value(child, tables[(t + 1, q_next)]),
-                )
-                vals[r] = float(bf @ c) + best
-            tables[(t, q)] = vals
-    return LowerBound(cfg.n, T, grid, tables, interp)
+
+    def backup(nxt, g, q):  # stage-(t+1) grid values nxt, interpolated at each child
+        branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
+        vals = np.empty(len(grid))
+        for r, bf in enumerate(grid.points):
+            _, best = one_step_min(
+                cfg.n, q, cfg.lam,
+                lambda u: _branch_children(bf, u, branch_sets[u], cfg.n),
+                lambda child, q_next: interp.value(child, nxt[q_next]),
+            )
+            vals[r] = float(bf @ c) + best
+        return vals
+
+    tables = _backward_induction(cfg, lambda q: pts @ c, backup)
+    return LowerBound(cfg.n, cfg.horizon, grid, tables, interp)
 
 
 # ---------------------------------------------------------------------------

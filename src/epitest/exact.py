@@ -18,8 +18,9 @@ the plain per-stage accessors expose.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,48 +42,35 @@ DEFAULT_MAX_T = 8
 
 
 @dataclass(eq=False)
-class AlphaVector:
-    """One linear piece of a value function, tagged with the action that
-    generated it."""
+class AlphaSet:
+    """One (stage, quarantine) slice of a value function: the pointwise min
+    over the rows of ``values``, k cost vectors over the 2**n states, each
+    tagged in ``actions`` with the action that generated it. Construction
+    checks once that there is one tag per row and that the matrix is
+    nonempty and finite; the arrays are shared, not copied.
+    """
 
     values: np.ndarray
-    action: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValidationError("alpha vector must be one-dimensional")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("alpha vector has non-finite entries")
-
-
-@dataclass(eq=False)
-class AlphaSet:
-    """A stage's vector set; the represented function is the pointwise min."""
-
-    vectors: list
+    actions: np.ndarray
     t: int
     quarantine: Quarantine = EMPTY_QUARANTINE
-    _matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.vectors:
-            raise ContractViolation("alpha set must be nonempty")
-        dims = {len(v.values) for v in self.vectors}
-        if len(dims) != 1:
-            raise DimensionError(f"alpha vectors disagree on dimension: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors[0].values)
-
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.stack([v.values for v in self.vectors])
-        return self._matrix
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        self.actions = np.asarray(self.actions, dtype=np.int64)
+        where = f"alpha set at stage {self.t}, quarantine {sorted(self.quarantine)}"
+        if self.values.ndim != 2 or self.actions.shape != self.values.shape[:1]:
+            raise ValidationError(f"{where}: vectors of shape {self.values.shape} "
+                                  f"with tags of shape {self.actions.shape}")
+        if not len(self.values):
+            raise ContractViolation(f"{where} is empty")
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            raise ValidationError(f"{where}: {int(bad.sum())} non-finite entries, "
+                                  f"first in vector {int(np.argmax(bad.any(axis=1)))}")
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.values)
 
 
 class Evaluation(NamedTuple):
@@ -93,9 +81,11 @@ class Evaluation(NamedTuple):
 def evaluate(aset: AlphaSet, b) -> Evaluation:
     """Minimum inner product over the set; ties go to the lowest index."""
     vec = as_dense(b)
-    if len(vec) != aset.dim:
-        raise DimensionError(f"belief dimension {len(vec)} != alpha dimension {aset.dim}")
-    dots = aset.matrix() @ vec
+    if len(vec) != aset.values.shape[1]:
+        raise DimensionError(
+            f"belief dimension {len(vec)} != alpha dimension {aset.values.shape[1]}"
+        )
+    dots = aset.values @ vec
     idx = int(np.argmin(dots))
     return Evaluation(float(dots[idx]), idx)
 
@@ -157,7 +147,7 @@ def _canonical_prune(stacked: np.ndarray, actions: np.ndarray):
             idx = idx[~_dominated(kept[:, : len(kept_idx)], block[:, idx])]
         kept[:, len(kept_idx) : len(kept_idx) + len(idx)] = block[:, idx]
         kept_idx.extend((idx + lo).tolist())
-    return stacked[kept_idx], actions[kept_idx].tolist()
+    return stacked[kept_idx], actions[kept_idx]
 
 
 def _prune_one_action(rows: np.ndarray, u: int) -> np.ndarray:
@@ -165,7 +155,7 @@ def _prune_one_action(rows: np.ndarray, u: int) -> np.ndarray:
 
 
 def exact_backup(
-    next_sets: Union[AlphaSet, Mapping],
+    next_sets: Mapping[Quarantine, AlphaSet],
     g: ContactGraph,
     q: Quarantine,
     p: float,
@@ -173,12 +163,10 @@ def exact_backup(
 ) -> AlphaSet:
     """One stage of value iteration at quarantine set q.
 
-    ``next_sets`` is either a mapping {quarantine set -> AlphaSet} for stage
-    t+1, or a single AlphaSet used for every observation branch (sufficient
-    for quarantine-free reasoning and the degenerate examples). Each action
-    contributes the cross-sum, over its observation branches (see
-    :func:`branches`), of the branch's next-stage vectors pulled back one
-    step and restricted to the states that give its outcome.
+    ``next_sets`` maps every quarantine set a branch can reach to its stage
+    t+1 AlphaSet. Each action contributes the cross-sum, over its observation
+    branches (see :func:`branches`), of the branch's next-stage vectors
+    pulled back one step and restricted to the states that give its outcome.
 
     Each branch's set, and each partial cross-sum before the next branch,
     drops the rows another row of the same action dominates. Addition is
@@ -186,13 +174,6 @@ def exact_backup(
     earlier, and the final prune keeps what it would keep of the full sum.
     """
     n = g.n_vertices
-
-    def next_for(qq: Quarantine) -> AlphaSet:
-        if isinstance(next_sets, AlphaSet):
-            return next_sets
-        return next_sets[qq]
-
-    stage_t = next_for(q).t - 1
     c = infection_counts(n)
 
     backs = {}  # next quarantine (which fixes the branch's step) -> pulled-back set
@@ -202,7 +183,7 @@ def exact_backup(
         rows = (c + lam if u else c)[None, :]
         for y, q_next, step in branches(g, q, u, p):
             if q_next not in backs:
-                backs[q_next] = step.back(next_for(q_next).matrix().T).T
+                backs[q_next] = step.back(next_sets[q_next].values.T).T
             back = backs[q_next]
             if y is not None:
                 back = outcome_indicator(n, u, y) * back
@@ -211,11 +192,8 @@ def exact_backup(
         stacked.append(rows)
         actions.append(np.full(len(rows), u))
 
-    kept_rows, kept_actions = _canonical_prune(
-        np.concatenate(stacked), np.concatenate(actions)
-    )
-    vectors = [AlphaVector(r, a) for r, a in zip(kept_rows, kept_actions)]
-    return AlphaSet(vectors, t=stage_t, quarantine=q)
+    values, tags = _canonical_prune(np.concatenate(stacked), np.concatenate(actions))
+    return AlphaSet(values, tags, t=next_sets[q].t - 1, quarantine=q)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +226,34 @@ class ValueFunction:
 
 def _reachable_quarantines(n: int, max_size: int):
     """All subsets of [1, n] of size <= max_size, smallest first."""
-    from itertools import combinations
+    return [frozenset(combo) for k in range(min(n, max_size) + 1)
+            for combo in combinations(range(1, n + 1), k)]
 
-    out = []
-    for k in range(0, min(n, max_size) + 1):
-        for combo in combinations(range(1, n + 1), k):
-            out.append(frozenset(combo))
-    return out
+
+def _backward_induction(
+    cfg: ScenarioConfig,
+    terminal: Callable[[Quarantine], object],
+    backup: Callable[[Mapping, ContactGraph, Quarantine], object],
+) -> dict:
+    """The one sweep behind the exact solver and both bounds: returns
+    {(t, q): value} with ``terminal(q)`` at the horizon, then, stage by stage
+    down to 1, ``backup({q': stage t+1 value}, stage t's graph, q)``. At most
+    one individual is quarantined per step, so stage t only needs quarantine
+    sets of size < t; they are visited smallest first.
+    """
+    T = cfg.horizon
+    table = {(T, q): terminal(q) for q in _reachable_quarantines(cfg.n, T - 1)}
+    for t in range(T - 1, 0, -1):
+        g = cfg.graph_at(t)
+        nxt = {q: value for (tt, q), value in table.items() if tt == t + 1}
+        for q in _reachable_quarantines(cfg.n, t - 1):
+            table[(t, q)] = backup(nxt, g, q)
+    return table
+
+
+def _terminal_set(cfg: ScenarioConfig, q: Quarantine) -> AlphaSet:
+    """The last stage costs its infections only: one vector, tagged 0."""
+    return AlphaSet(infection_counts(cfg.n)[None, :], [0], t=cfg.horizon, quarantine=q)
 
 
 def solve(
@@ -264,9 +263,8 @@ def solve(
 ) -> ValueFunction:
     """Backward value iteration over every reachable (stage, quarantine) pair.
 
-    At most one individual is quarantined per step, so stage t only needs
-    quarantine sets of size < t. Raises SizeCapError beyond the enumeration
-    caps; larger instances belong to the bounded approximate solver.
+    Raises SizeCapError beyond the enumeration caps; larger instances belong
+    to the bounded approximate solver.
     """
     if cfg.n > max_n or cfg.horizon > max_t:
         raise SizeCapError(
@@ -274,26 +272,12 @@ def solve(
             f"(got N={cfg.n}, T={cfg.horizon}); use the approximate solver "
             "for larger instances"
         )
-    return _backward_induction(cfg)
-
-
-def _backward_induction(
-    cfg: ScenarioConfig, prune: Optional[Callable[[AlphaSet], AlphaSet]] = None
-) -> ValueFunction:
-    """The loop behind :func:`solve`; ``prune``, when given, is applied to
-    every backed-up set before the next stage uses it."""
-    T = cfg.horizon
-    c = infection_counts(cfg.n)
-    table = {}
-    for q in _reachable_quarantines(cfg.n, T - 1):
-        table[(T, q)] = AlphaSet([AlphaVector(c.copy(), 0)], t=T, quarantine=q)
-    for t in range(T - 1, 0, -1):
-        g = cfg.graph_at(t)
-        nxt = {q: aset for (tt, q), aset in table.items() if tt == t + 1}
-        for q in _reachable_quarantines(cfg.n, t - 1):
-            aset = exact_backup(nxt, g, q, cfg.p, cfg.lam)
-            table[(t, q)] = aset if prune is None else prune(aset)
-    return ValueFunction(cfg.n, T, table)
+    table = _backward_induction(
+        cfg,
+        lambda q: _terminal_set(cfg, q),
+        lambda nxt, g, q: exact_backup(nxt, g, q, cfg.p, cfg.lam),
+    )
+    return ValueFunction(cfg.n, cfg.horizon, table)
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +302,38 @@ def save_value_function(vf: ValueFunction, path) -> None:
         "entries": [[t, sorted(q)] for t, q in entries],
     }
     arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-    for k, (t, q) in enumerate(entries):
-        aset = vf.table[(t, q)]
-        arrays[f"values_{k}"] = aset.matrix()
-        arrays[f"actions_{k}"] = np.array([v.action for v in aset.vectors], dtype=np.int64)
+    for k, key in enumerate(entries):
+        arrays[f"values_{k}"] = vf.table[key].values
+        arrays[f"actions_{k}"] = vf.table[key].actions
     np.savez_compressed(path, **arrays)
 
 
 def load_value_function(path) -> ValueFunction:
+    """Read a file written by :func:`save_value_function`. Raises
+    ValidationError, naming the entry and the numbers, for a stage outside
+    [1, horizon], an empty set, vectors not 2**n wide, a tag count that is
+    not the vector count, tags outside [0, n] or non-finite values.
+    """
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
         if header.get("version") != _FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported value-function file version {header.get('version')}"
             )
+        n, horizon = int(header["n"]), int(header["horizon"])
         table = {}
         for k, (t, qlist) in enumerate(header["entries"]):
+            t, q = int(t), frozenset(int(u) for u in qlist)
             values = data[f"values_{k}"]
-            acts = data[f"actions_{k}"]
-            vectors = [AlphaVector(values[i], int(acts[i])) for i in range(len(acts))]
-            table[(int(t), frozenset(int(u) for u in qlist))] = AlphaSet(
-                vectors, t=int(t), quarantine=frozenset(int(u) for u in qlist)
-            )
-    return ValueFunction(int(header["n"]), int(header["horizon"]), table)
+            where = f"value-function entry {k} (stage {t}, quarantine {sorted(q)})"
+            if not 1 <= t <= horizon:
+                raise ValidationError(f"{where}: stage outside [1, {horizon}]")
+            if values.shape[1:] != (1 << n,) or not len(values):
+                raise ValidationError(f"{where}: vectors of shape {values.shape}, "
+                                      f"expected one or more rows of width 2**{n} = {1 << n}")
+            aset = AlphaSet(values, data[f"actions_{k}"], t=t, quarantine=q)
+            if not 0 <= aset.actions.min() <= aset.actions.max() <= n:
+                raise ValidationError(f"{where}: action tags span [{aset.actions.min()}, "
+                                      f"{aset.actions.max()}], outside [0, {n}]")
+            table[(t, q)] = aset
+    return ValueFunction(n, horizon, table)

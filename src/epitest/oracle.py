@@ -58,16 +58,16 @@ def predict_dense(
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("cap", "left")
 
     def __init__(self, cap):
-        self.left = cap
+        self.cap = self.left = cap
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
             raise SizeCapError(
-                "belief-tree expansion exceeded the node cap; "
+                f"belief-tree expansion exceeded the node cap of {self.cap}; "
                 "the instance is too large for brute-force valuation"
             )
 
@@ -152,7 +152,8 @@ def oracle_value(
     est = (2 * (cfg.n + 1)) ** max(cfg.horizon - t, 0)
     if est > node_cap * 4:
         raise SizeCapError(
-            f"reachable tree of ~{est:.2e} nodes exceeds the cap; "
+            f"reachable tree of ~{est:.2e} nodes exceeds {node_cap * 4} "
+            f"(4 x the node cap of {node_cap}); "
             "shrink N or T for oracle valuation"
         )
     return tree_value(cfg, dense, q, t, action_fn=None, node_cap=node_cap)

@@ -15,7 +15,7 @@ from epitest.approx import (
 )
 from epitest.beliefs import Belief
 from epitest.errors import CoverageError, SizeCapError, ValidationError
-from epitest.exact import AlphaSet, AlphaVector, evaluate, solve
+from epitest.exact import AlphaSet, evaluate, solve
 from epitest.model import (
     ContactGraph,
     ContactSchedule,
@@ -26,6 +26,8 @@ from epitest.model import (
 from epitest.oracle import oracle_value
 from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import ScenarioConfig
+
+from _scenarios import random_beliefs, random_scenario
 
 EMPTY = frozenset()
 
@@ -73,17 +75,17 @@ class TestGrids:
 
 class TestPruneAtPoints:
     def test_singleton_unchanged(self):
-        aset = AlphaSet([AlphaVector(infection_counts(2), 0)], t=1)
+        aset = AlphaSet(infection_counts(2)[None, :], [0], t=1)
         grid = BeliefGrid.corners(2)
-        assert prune_at_points(aset, grid).vectors == aset.vectors
+        pruned = prune_at_points(aset, grid)
+        assert np.array_equal(pruned.values, aset.values)
+        assert np.array_equal(pruned.actions, aset.actions)
 
     def test_dominated_vector_dropped(self):
-        aset = AlphaSet(
-            [AlphaVector(np.ones(4), 0), AlphaVector(np.zeros(4), 1)], t=1
-        )
+        aset = AlphaSet(np.stack([np.ones(4), np.zeros(4)]), [0, 1], t=1)
         pruned = prune_at_points(aset, BeliefGrid.corners(2))
         assert len(pruned) == 1
-        assert pruned.vectors[0].action == 1
+        assert pruned.actions[0] == 1
 
     def test_grid_point_values_preserved(self):
         cfg = scenario_a()
@@ -289,6 +291,27 @@ class TestSandwich:
         assert not sw.violations
         for row in sw.rows:
             ov = oracle_value(cfg, probes[row.probe], t=row.t)
+            assert row.lower - 1e-9 <= ov <= row.upper + 1e-9
+
+    @pytest.mark.parametrize("n, horizon, p, lam, per_step, seed", [
+        (4, 4, 1.0, 0.0, True, 31),
+        (4, 3, 0.0, 0.5, False, 32),
+        (5, 3, 0.6, 0.3, True, 33),
+        (5, 4, 0.5, 0.0, False, 34),
+    ], ids=["n4-p1-free-tests-schedule", "n4-p0-static", "n5-schedule", "n5-free-tests"])
+    def test_oracle_between_bounds_on_random_scenarios(self, n, horizon, p, lam, per_step, seed):
+        """All three solvers of the shared backward sweep against the oracle:
+        lower <= oracle == exact <= upper at every probe and stage."""
+        rng = np.random.default_rng(seed)
+        cfg = random_scenario(n, horizon, p, lam, rng, per_step)
+        probes = random_beliefs(n, rng)
+        sw = sandwich(cfg, nested_grid_ladder(n, [2], seed)[0], probes)
+        vf = solve(cfg)
+        assert not sw.violations
+        assert len(sw.rows) == horizon * len(probes)
+        for row in sw.rows:
+            ov = oracle_value(cfg, probes[row.probe], t=row.t)
+            assert vf.value(row.t, probes[row.probe]) == pytest.approx(ov, abs=1e-9)
             assert row.lower - 1e-9 <= ov <= row.upper + 1e-9
 
     def test_zero_gap_when_value_linear(self):

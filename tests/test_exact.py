@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from epitest.beliefs import Belief
-from epitest.errors import ContractViolation, SizeCapError
+from epitest.errors import ContractViolation, SizeCapError, ValidationError
 from epitest.exact import (
     AlphaSet,
-    AlphaVector,
     _canonical_prune,
     evaluate,
     exact_backup,
@@ -18,6 +19,8 @@ from epitest.oracle import oracle_value, predict_dense
 from epitest.policies import extract_policy, policy_tree_value
 from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import ScenarioConfig
+
+from _scenarios import random_beliefs, random_scenario
 
 EMPTY = frozenset()
 
@@ -34,33 +37,36 @@ def tiny_config(n, horizon, p, lam, edges, seed=0):
 
 class TestEvaluate:
     def test_terminal_point_mass(self):
-        aset = AlphaSet([AlphaVector(infection_counts(2), 0)], t=1)
+        aset = AlphaSet(infection_counts(2)[None, :], [0], t=1)
         b = Belief.point(SystemState.from_bits((1, 1)))
         assert evaluate(aset, b) == (2.0, 0)
 
     def test_dominated_vector_never_wins(self):
-        aset = AlphaSet([AlphaVector(np.zeros(4), 0), AlphaVector(np.ones(4), 1)], t=1)
+        aset = AlphaSet(np.stack([np.zeros(4), np.ones(4)]), [0, 1], t=1)
         for b in probe_beliefs(2, 10):
             assert evaluate(aset, b).value == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
-        aset = AlphaSet([AlphaVector(np.ones(2), 3), AlphaVector(np.ones(2), 1)], t=1)
+        aset = AlphaSet(np.ones((2, 2)), [3, 1], t=1)
         assert evaluate(aset, Belief.uniform(1)).argmin_vector == 0
 
     def test_empty_set_rejected(self):
         with pytest.raises(ContractViolation):
-            AlphaSet([], t=1)
+            AlphaSet(np.empty((0, 4)), [], t=1)
 
 
 class TestBackup:
     def test_expensive_tests_never_chosen(self):
         cfg = tiny_config(2, 2, 0.5, 100.0, [(1, 2, 1.0)])
-        terminal = AlphaSet([AlphaVector(infection_counts(2), 0)], t=2)
+        terminal = {
+            q: AlphaSet(infection_counts(2)[None, :], [0], t=2, quarantine=q)
+            for q in (EMPTY, frozenset({1}), frozenset({2}))
+        }
         backed = exact_backup(terminal, cfg.graph_at(1), EMPTY, cfg.p, cfg.lam)
         size = 1 << 2
         for corner in np.eye(size):
             _, idx = evaluate(backed, corner)
-            assert backed.vectors[idx].action == 0
+            assert backed.actions[idx] == 0
 
     def test_static_single_individual(self):
         # p=0, lam=0, N=1, T=2: value is twice the infection probability
@@ -83,7 +89,7 @@ class TestSolve:
         assert len(vf.stage_sets) == 1
         aset = vf.alpha_set(1)
         assert len(aset) == 1
-        assert np.array_equal(aset.vectors[0].values, infection_counts(2))
+        assert np.array_equal(aset.values[0], infection_counts(2))
 
     def test_single_individual_testing_cannot_help(self):
         cfg = tiny_config(1, 2, 0.7, 0.0, [])
@@ -154,7 +160,7 @@ class TestPruning:
         shuffled = rng.permutation(40)
         second = _canonical_prune(raw[shuffled], actions[shuffled])
         assert np.array_equal(np.asarray(first[0]), np.asarray(second[0]))
-        assert first[1] == second[1]
+        assert np.array_equal(first[1], second[1])
 
 
 class TestOracle:
@@ -171,8 +177,12 @@ class TestOracle:
 
     def test_node_cap(self):
         cfg = tiny_config(4, 10, 0.5, 0.5, [(1, 2, 1.0)])
-        with pytest.raises(SizeCapError):
+        with pytest.raises(SizeCapError, match=r"1\.00e\+09 nodes exceeds 400 .*node cap of 100"):
             oracle_value(cfg, Belief.uniform(4), node_cap=100)
+        # admitted by the estimate (36 <= 40), stopped by the node count
+        cfg = tiny_config(2, 3, 0.5, 0.5, [(1, 2, 1.0)])
+        with pytest.raises(SizeCapError, match="node cap of 10;"):
+            oracle_value(cfg, Belief.uniform(2), node_cap=10)
 
     def test_predict_dense_keeps_mass(self):
         g = ContactGraph.from_edges(3, [(1, 2, 1.0), (2, 3, 2.0)])
@@ -181,24 +191,6 @@ class TestOracle:
         out = predict_dense(b, g, EMPTY, frozenset({2}), 0.5)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(out >= -1e-15)
-
-
-def random_graph(n, rng, zero_edge=False):
-    """Seeded weights on a random edge set; optionally one zero-weight edge."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    edges = [(i, j, float(rng.choice([0.5, 1.0, 2.0]))) for i, j in pairs if rng.random() < 0.5]
-    if zero_edge:
-        edges = [e for e in edges if e[:2] != (1, n)] + [(1, n, 0.0)]
-    return ContactGraph.from_edges(n, edges)
-
-
-def random_beliefs(n, rng):
-    """A point state, a full-support Dirichlet draw and a sparse spread."""
-    point = Belief.point(SystemState(int(rng.integers(1 << n)), n))
-    full = Belief.from_dense(rng.dirichlet(np.ones(1 << n)), n)
-    sparse = np.zeros(1 << n)
-    sparse[rng.choice(1 << n, size=3, replace=False)] = rng.dirichlet(np.ones(3))
-    return [point, full, Belief.from_dense(sparse, n)]
 
 
 class TestOracleAtLargerN:
@@ -210,13 +202,7 @@ class TestOracleAtLargerN:
     ], ids=["n4-static-zero-edge", "n5-schedule"])
     def test_matches_oracle(self, n, horizon, p, lam, seed, per_step):
         rng = np.random.default_rng(seed)
-        if per_step:
-            schedule = ContactSchedule(
-                horizon, tuple(random_graph(n, rng, zero_edge=t == 0) for t in range(horizon))
-            )
-        else:
-            schedule = ContactSchedule.static(horizon, random_graph(n, rng, zero_edge=True))
-        cfg = ScenarioConfig(n, horizon, p, lam, schedule, Belief.uniform(n), 0)
+        cfg = random_scenario(n, horizon, p, lam, rng, per_step)
         vf = solve(cfg)
         for b in random_beliefs(n, rng):
             assert vf.value(1, b) == pytest.approx(oracle_value(cfg, b), abs=1e-9)
@@ -269,7 +255,67 @@ class TestSerialization:
         assert set(back.table) == set(vf.table)
         for key, aset in vf.table.items():
             other = back.table[key]
-            assert np.array_equal(aset.matrix(), other.matrix())
-            assert [v.action for v in aset.vectors] == [v.action for v in other.vectors]
+            assert np.array_equal(aset.values, other.values)
+            assert np.array_equal(aset.actions, other.actions)
         for b in probe_beliefs(3, 5):
             assert back.value(1, b) == vf.value(1, b)
+
+    @staticmethod
+    def rewrite(path, tmp_path, **arrays):
+        """A copy of a saved value function with some of its arrays replaced."""
+        with np.load(path) as data:
+            contents = dict(data)
+        contents.update(arrays)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **contents)
+        return bad
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """scenario C (N=2, T=3) saved; entry 0 is stage 1, no quarantine."""
+        path = tmp_path / "vf.npz"
+        save_value_function(solve(scenario_c()), path)
+        with np.load(path) as data:
+            return path, dict(data)
+
+    def test_non_finite_entry_rejected(self, saved, tmp_path):
+        path, arrays = saved
+        values = arrays["values_0"].copy()
+        values[1, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"stage 1, quarantine \[\]: 1 non-finite "
+                                                  r"entries, first in vector 1"):
+            load_value_function(self.rewrite(path, tmp_path, values_0=values))
+
+    @pytest.mark.parametrize("rows, width", [(3, 3), (0, 4)], ids=["narrow", "empty"])
+    def test_wrong_shape_rejected(self, saved, tmp_path, rows, width):
+        path, arrays = saved
+        bad = self.rewrite(path, tmp_path, values_0=arrays["values_0"][:rows, :width])
+        with pytest.raises(ValidationError, match=rf"entry 0 .*shape \({rows}, {width}\), "
+                                                  r"expected one or more rows of width 2\*\*2 = 4"):
+            load_value_function(bad)
+
+    @pytest.mark.parametrize("stage", [0, 4])
+    def test_out_of_range_stage_rejected(self, saved, tmp_path, stage):
+        path, arrays = saved
+        header = json.loads(bytes(arrays["header"]).decode())
+        header["entries"][0][0] = stage
+        bad = self.rewrite(path, tmp_path, header=np.frombuffer(json.dumps(header).encode(),
+                                                                dtype=np.uint8))
+        with pytest.raises(ValidationError, match=rf"entry 0 \(stage {stage}, .*outside \[1, 3\]"):
+            load_value_function(bad)
+
+    @pytest.mark.parametrize("tag", [-1, 3])
+    def test_out_of_range_tag_rejected(self, saved, tmp_path, tag):
+        path, arrays = saved
+        actions = arrays["actions_0"].copy()
+        actions[0] = tag
+        with pytest.raises(ValidationError, match=rf"entry 0 .*action tags span .*{tag}.*"
+                                                  r"outside \[0, 2\]"):
+            load_value_function(self.rewrite(path, tmp_path, actions_0=actions))
+
+    def test_tag_count_mismatch_rejected(self, saved, tmp_path):
+        path, arrays = saved
+        bad = self.rewrite(path, tmp_path, actions_0=arrays["actions_0"][:2])
+        with pytest.raises(ValidationError, match=r"stage 1, .*shape \(3, 4\) "
+                                                  r"with tags of shape \(2,\)"):
+            load_value_function(bad)

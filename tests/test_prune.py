@@ -26,7 +26,7 @@ def assert_same_prune(stacked, actions):
     ref = np.asarray(ref_rows).reshape(-1, stacked.shape[1])
     assert rows.shape == ref.shape
     assert rows.tobytes() == ref.tobytes()
-    assert acts == ref_acts
+    assert acts.tolist() == ref_acts
 
 
 def mixed_candidates(rng, k, dim, n_actions):
@@ -69,7 +69,7 @@ class TestCanonicalPrune:
     def test_duplicates_keep_one_copy(self):
         row = np.array([[1.0, 2.0, 3.0, 4.0]])
         rows, acts = _canonical_prune(np.repeat(row, 600, axis=0), np.full(600, 2))
-        assert rows.tobytes() == row.tobytes() and acts == [2]
+        assert rows.tobytes() == row.tobytes() and acts.tolist() == [2]
 
 
 def random_config(n, horizon, seed, p=0.5, lam=0.4):
@@ -92,7 +92,7 @@ def full_cross_sum(nxt, g, q, p, lam):
     for u in candidate_actions(n, q):
         rows = (c + lam if u else c)[None, :]
         for y, q_next, step in branches(g, q, u, p):
-            back = step.back(nxt[q_next].matrix().T).T
+            back = step.back(nxt[q_next].values.T).T
             if y is not None:
                 back = outcome_indicator(n, u, y) * back
             rows = (rows[:, None, :] + back[None, :, :]).reshape(-1, len(c))
@@ -118,6 +118,6 @@ class TestIncrementalBackup:
         got = exact_backup(nxt, cfg.graph_at(t), q, cfg.p, cfg.lam)
         ref_rows, ref_acts = canonical_prune(*full_cross_sum(nxt, cfg.graph_at(t), q,
                                                              cfg.p, cfg.lam))
-        assert got.matrix().tobytes() == np.asarray(ref_rows).tobytes()
-        assert [v.action for v in got.vectors] == ref_acts
-        assert vf.alpha_set(t, q).matrix().tobytes() == got.matrix().tobytes()
+        assert got.values.tobytes() == np.asarray(ref_rows).tobytes()
+        assert got.actions.tolist() == ref_acts
+        assert vf.alpha_set(t, q).values.tobytes() == got.values.tobytes()
