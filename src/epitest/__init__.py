@@ -25,7 +25,6 @@ from .beliefs import (
     filter_observation,
     marginal_infection,
     observation_likelihood,
-    observation_probability,
     predict_belief,
 )
 from .errors import (

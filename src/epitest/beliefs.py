@@ -3,8 +3,9 @@
 A belief is a sparse probability distribution over the 2**N infection
 patterns, keyed by state bitmask. Updates factor into two steps that the
 toolkit also exposes separately: conditioning on a test outcome
-(:func:`filter_observation`) and pushing the result through the one-step
-transition structure (:func:`predict_belief`).
+(:func:`filter_observation`) and pushing the result through the step of
+the observation branch taken (:func:`predict_belief`). :func:`belief_update`
+does both, with the step and the next quarantine from :func:`model.branches`.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .errors import (
 )
 from .model import (
     ContactGraph,
-    EMPTY_QUARANTINE,
+    Dynamics,
     Quarantine,
     SystemState,
     _enumeration_cap,
-    dynamics,
+    branches,
 )
 
 SUM_TOLERANCE = 1e-9
@@ -170,43 +171,31 @@ def filter_observation(b: Belief, a: int, y: Optional[int]) -> Belief:
     return Belief(b.n, {m: pr / total for m, pr in kept.items()})
 
 
-def predict_belief(
-    b: Belief,
-    g: ContactGraph,
-    q: Quarantine,
-    p: float,
-    q_edges: Optional[Quarantine] = None,
-) -> Belief:
+def predict_belief(b: Belief, step: Dynamics) -> Belief:
     """Push a belief through one step of the epidemic dynamics.
 
-    ``q`` is the quarantine set in force for transmission. ``q_edges``, when
-    given, is the (smaller) set that was in force when the active edge was
-    drawn; it defaults to ``q``. The distinction only matters on the step an
-    individual is quarantined: the contact had already been drawn from the
-    wider graph, the new quarantine merely blocks the crossing.
+    ``step`` is the :class:`Dynamics` of the observation branch taken, as
+    :func:`model.branches` returns it; it already knows which quarantine
+    was in force when the contact was drawn and which blocks the crossing.
     """
-    if g.n_vertices != b.n:
-        raise DimensionError(f"graph has {g.n_vertices} vertices, belief has {b.n}")
-    step = dynamics(g, q if q_edges is None else q_edges, q, p)
+    if step.n != b.n:
+        raise DimensionError(f"step has {step.n} vertices, belief has {b.n}")
     return _prune(b.n, step.predict(b.probs))
 
 
 def belief_update(
-    b: Belief,
-    a: int,
-    y: Optional[int],
-    g: ContactGraph,
-    q: Quarantine,
-    p: float,
-    q_edges: Optional[Quarantine] = None,
-) -> Belief:
-    """Full Bayes step: condition on the test outcome at time t, then predict
-    through the time-t dynamics under quarantine q.
+    b: Belief, g: ContactGraph, q: Quarantine, a: int, y: Optional[int], p: float
+) -> tuple:
+    """Full Bayes step from quarantine q: condition on outcome y of test a
+    at time t, then predict through the step of the :func:`model.branches`
+    entry with that outcome. Returns (posterior, next quarantine).
 
     The recursion is normalized explicitly and the support pruned of entries
     below 1e-12 (then renormalized).
     """
-    return predict_belief(filter_observation(b, a, y), g, q, p, q_edges=q_edges)
+    now = filter_observation(b, a, y)
+    _, q_next, step = next(br for br in branches(g, q, a, p) if br[0] == y)
+    return predict_belief(now, step), q_next
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +203,11 @@ def belief_update(
 # ---------------------------------------------------------------------------
 
 
-def marginal_infection(b: Belief, u: int, q: Quarantine = EMPTY_QUARANTINE) -> float:
-    """P(individual u infected and not quarantined) under b."""
+def marginal_infection(b: Belief, u: int) -> float:
+    """P(individual u infected) under b: also the probability that testing
+    u comes back positive."""
     if not 1 <= u <= b.n:
         raise ValidationError(f"vertex id {u} outside [1, {b.n}]")
-    if u in q:
-        return 0.0
     bit = 1 << (u - 1)
     return sum(pr for m, pr in b.probs.items() if m & bit)
 
@@ -228,11 +216,3 @@ def expected_infections(b: Belief) -> float:
     """Expected number of infected individuals under b."""
     return sum(pr * m.bit_count() for m, pr in b.probs.items())
 
-
-def observation_probability(b: Belief, a: int, y: int) -> float:
-    """P(outcome y | belief, testing a) for a real test a >= 1."""
-    if not 1 <= a <= b.n:
-        raise ValidationError(f"tested vertex {a} outside [1, {b.n}]")
-    bit = 1 << (a - 1)
-    p1 = sum(pr for m, pr in b.probs.items() if m & bit)
-    return p1 if int(y) == 1 else 1.0 - p1

@@ -311,8 +311,10 @@ def save_value_function(vf: ValueFunction, path) -> None:
 def load_value_function(path) -> ValueFunction:
     """Read a file written by :func:`save_value_function`. Raises
     ValidationError, naming the entry and the numbers, for a stage outside
-    [1, horizon], an empty set, vectors not 2**n wide, a tag count that is
-    not the vector count, tags outside [0, n] or non-finite values.
+    [1, horizon], a quarantine with a vertex outside [1, n] or more than
+    t - 1 members, a repeated (stage, quarantine) pair, an empty set,
+    vectors not 2**n wide, a tag count that is not the vector count, tags
+    outside [0, n], non-finite values, or a missing reachable slice.
     """
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
@@ -322,12 +324,21 @@ def load_value_function(path) -> ValueFunction:
             )
         n, horizon = int(header["n"]), int(header["horizon"])
         table = {}
+        first = {}  # (stage, quarantine) -> index of the entry that holds it
         for k, (t, qlist) in enumerate(header["entries"]):
             t, q = int(t), frozenset(int(u) for u in qlist)
             values = data[f"values_{k}"]
             where = f"value-function entry {k} (stage {t}, quarantine {sorted(q)})"
             if not 1 <= t <= horizon:
                 raise ValidationError(f"{where}: stage outside [1, {horizon}]")
+            if not q <= frozenset(range(1, n + 1)):
+                raise ValidationError(f"{where}: quarantined vertex outside [1, {n}]")
+            if len(q) > t - 1:
+                raise ValidationError(f"{where}: {len(q)} quarantined, but at most "
+                                      f"{t - 1} can be by stage {t}")
+            if (t, q) in first:
+                raise ValidationError(f"{where}: repeats entry {first[(t, q)]}")
+            first[(t, q)] = k
             if values.shape[1:] != (1 << n,) or not len(values):
                 raise ValidationError(f"{where}: vectors of shape {values.shape}, "
                                       f"expected one or more rows of width 2**{n} = {1 << n}")
@@ -336,4 +347,10 @@ def load_value_function(path) -> ValueFunction:
                 raise ValidationError(f"{where}: action tags span [{aset.actions.min()}, "
                                       f"{aset.actions.max()}], outside [0, {n}]")
             table[(t, q)] = aset
+    reachable = [(t, q) for t in range(1, horizon + 1) for q in _reachable_quarantines(n, t - 1)]
+    gap = next((key for key in reachable if key not in table), None)
+    if gap:
+        raise ValidationError(f"value-function file lacks stage {gap[0]}, quarantine "
+                              f"{sorted(gap[1])}: it has {len(table)} of the "
+                              f"{len(reachable)} reachable slices")
     return ValueFunction(n, horizon, table)

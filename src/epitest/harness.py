@@ -60,7 +60,6 @@ class ExperimentSpec:
     plan: Optional[OpenLoopPlan] = None
     workers: int = 1
     seed_override: Optional[int] = None
-    out_dir: Optional[Path] = None
 
     @property
     def base_seed(self) -> int:
@@ -182,12 +181,13 @@ class SandwichReportRow:
         return self.upper - self.lower
 
 
-def run_sandwich_report(spec: ExperimentSpec, include_oracle: Optional[bool] = None) -> list:
+def run_sandwich_report(spec: ExperimentSpec) -> list:
     """Bound gaps over a nested grid ladder; the empirical gap-versus-R curve.
 
-    The oracle column is filled whenever brute-force valuation is feasible
-    (or forced by ``include_oracle``); rows where it escapes the bounds are
-    marked so callers can fail loudly.
+    The oracle column is filled when brute-force valuation is feasible, that
+    is when (2(N+1))^(T-1), a bound on the oracle's tree size, is at most
+    200,000; rows where it escapes the bounds are marked so callers can fail
+    loudly.
     """
     cfg = spec.scenario
     probes = probe_beliefs(
@@ -195,8 +195,7 @@ def run_sandwich_report(spec: ExperimentSpec, include_oracle: Optional[bool] = N
         spec.probe_count,
         np.random.SeedSequence(entropy=spec.base_seed, spawn_key=(0xB111,)),
     )
-    if include_oracle is None:
-        include_oracle = (2 * (cfg.n + 1)) ** (cfg.horizon - 1) <= 200_000
+    include_oracle = (2 * (cfg.n + 1)) ** (cfg.horizon - 1) <= 200_000
     grids = nested_grid_ladder(cfg.n, list(spec.grid_sizes), seed=spec.base_seed)
     oracle_cache = {}
     rows = []

@@ -536,7 +536,7 @@ def transmit_with_uniform(
     return x
 
 
-def validate_action(u: int, n: int, q: Quarantine = EMPTY_QUARANTINE) -> int:
+def validate_action(u: int, n: int) -> int:
     """Check a test decision: 0 (no test) or a vertex id in [1, n]."""
     if not isinstance(u, (int, np.integer)) or not 0 <= int(u) <= n:
         raise ContractViolation(f"action {u!r} outside [0, {n}]")

@@ -25,7 +25,6 @@ from .beliefs import (
     expected_infections,
     filter_observation,
     marginal_infection,
-    observation_probability,
     predict_belief,
 )
 from .errors import ValidationError
@@ -79,16 +78,17 @@ class StageValue(Protocol):
 def _outcomes(b: Belief, g: ContactGraph, q: Quarantine, u: int, p: float) -> list:
     """(probability, next belief, next quarantine) per observation branch of
     action u (see :func:`branches`) that some support state of b gives."""
+    p1 = marginal_infection(b, u) if u else None
     out = []
-    for y, q_next, _ in branches(g, q, u, p):
+    for y, q_next, step in branches(g, q, u, p):
         if y is None:
             prob, now = 1.0, b
         else:
-            prob = observation_probability(b, u, y)
+            prob = p1 if y else 1.0 - p1
             if prob <= 0.0 or not any(((m >> (u - 1)) & 1) == y for m in b.probs):
                 continue
             now = filter_observation(b, u, y)
-        out.append((prob, predict_belief(now, g, q_next, p, q_edges=q), q_next))
+        out.append((prob, predict_belief(now, step), q_next))
     return out
 
 
@@ -268,7 +268,7 @@ def _greedy_scores(ctx: PolicyContext):
     scores = {}
     for u in candidate_actions(ctx.cfg.n, q)[1:]:
         share = step.active.incident_weight(u) / step.total if step.total > 0.0 else 0.0
-        scores[u] = marginal_infection(ctx.belief, u, q) * p * share
+        scores[u] = marginal_infection(ctx.belief, u) * p * share
     return scores
 
 

@@ -4,7 +4,8 @@ One step runs in a fixed order: the active contact is drawn from the current
 non-quarantined subgraph, the policy picks a test, a positive result
 quarantines the individual immediately, the stage cost is charged on the
 current hidden state, and only then may the infection cross the active
-contact, provided neither endpoint just went into quarantine.
+contact, provided neither endpoint just went into quarantine. That rule is
+:func:`model.branches`, and :func:`beliefs.belief_update` follows it too.
 
 Randomness is split into four per-episode streams (initial state, active
 edges, transmissions, policy) derived from one seed, so two policies
@@ -142,7 +143,7 @@ def run_episode(
             r = trans_rng.random()
             x = transmit_with_uniform(x, edge, cfg.p, q, r)
             if track_belief:
-                belief = belief_update(belief, u, y, g, q, cfg.p, q_edges=q_before)
+                belief, _ = belief_update(belief, g, q_before, u, y, cfg.p)
     return EpisodeTrace(cfg.digest(), seed_label, tuple(records), total, tests)
 
 

@@ -182,12 +182,11 @@ def test_criterion_5_belief_filter_exhaustive(scenarios):
             for a in range(0, cfg.n + 1):
                 outcomes = (None,) if a == 0 else (0, 1)
                 for y in outcomes:
-                    q_after = q | {a} if (a != 0 and y == 1) else q
                     try:
-                        child = belief_update(belief, a, y, g, q_after, cfg.p, q_edges=q)
+                        child, q_next = belief_update(belief, g, q, a, y, cfg.p)
                     except InconsistentObservationError:
                         continue  # zero-probability branch
-                    explore(t + 1, child, q_after, history + ((a, y),))
+                    explore(t + 1, child, q_next, history + ((a, y),))
 
         explore(1, cfg.initial_belief, EMPTY, ())
     _passline(5, f"filter equals joint path enumeration on {total} "

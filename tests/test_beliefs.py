@@ -8,7 +8,6 @@ from epitest.beliefs import (
     filter_observation,
     marginal_infection,
     observation_likelihood,
-    observation_probability,
     predict_belief,
 )
 from epitest.errors import (
@@ -16,7 +15,7 @@ from epitest.errors import (
     InconsistentObservationError,
     ValidationError,
 )
-from epitest.model import ContactGraph, SystemState
+from epitest.model import ContactGraph, SystemState, dynamics
 
 from _reference import joint_posterior
 
@@ -67,7 +66,7 @@ class TestObservationModel:
         assert filtered.probs == {0b00: 1.0}
         # observing infection pins the marginal before any prediction
         b2 = belief_of(2, {0b01: 0.3, 0b11: 0.2, 0b00: 0.5})
-        assert marginal_infection(filter_observation(b2, 1, 1), 1, EMPTY) == pytest.approx(1.0)
+        assert marginal_infection(filter_observation(b2, 1, 1), 1) == pytest.approx(1.0)
 
     def test_impossible_observation(self):
         b = belief_of(2, {0b00: 1.0})
@@ -79,32 +78,32 @@ class TestBeliefUpdate:
     def test_test_eliminates_hypothesis(self):
         g = ContactGraph.from_edges(2, [(1, 2, 1.0)])
         b = belief_of(2, {0b00: 0.5, 0b01: 0.5})
-        out = belief_update(b, 1, 0, g, EMPTY, 0.0)
+        out, _ = belief_update(b, g, EMPTY, 1, 0, 0.0)
         assert out.probs == {0b00: 1.0}
 
     def test_pure_prediction(self):
         g = ContactGraph.from_edges(2, [(1, 2, 1.0)])
         b = Belief.point(SystemState.from_bits((1, 0)))
-        out = belief_update(b, 0, None, g, EMPTY, 0.3)
+        out, _ = belief_update(b, g, EMPTY, 0, None, 0.3)
         assert out.probs[0b01] == pytest.approx(0.7)
         assert out.probs[0b11] == pytest.approx(0.3)
 
     def test_update_with_no_test_equals_predict(self):
         g = ContactGraph.from_edges(3, [(1, 2, 1.0), (2, 3, 2.0)])
         b = belief_of(3, {0b001: 0.5, 0b010: 0.25, 0b110: 0.25})
-        assert belief_update(b, 0, None, g, EMPTY, 0.4).probs == pytest.approx(
-            predict_belief(b, g, EMPTY, 0.4).probs
+        assert belief_update(b, g, EMPTY, 0, None, 0.4)[0].probs == pytest.approx(
+            predict_belief(b, dynamics(g, EMPTY, EMPTY, 0.4)).probs
         )
 
     def test_matches_brute_force_posterior(self):
         # positive test quarantines 2 mid-step, blocking the crossing
         g = ContactGraph.from_edges(2, [(1, 2, 1.0)])
         b = Belief.uniform(2)
-        got = belief_update(b, 2, 1, g, frozenset({2}), 0.5, q_edges=EMPTY)
+        got, _ = belief_update(b, g, EMPTY, 2, 1, 0.5)
         want = joint_posterior(2, b.probs, [(g.edges, 2, 1)], 0.5)
         assert got.probs == pytest.approx(want, abs=1e-12)
         # negative branch leaves the dynamics untouched
-        got0 = belief_update(b, 2, 0, g, EMPTY, 0.5)
+        got0, _ = belief_update(b, g, EMPTY, 2, 0, 0.5)
         want0 = joint_posterior(2, b.probs, [(g.edges, 2, 0)], 0.5)
         assert got0.probs == pytest.approx(want0, abs=1e-12)
 
@@ -118,11 +117,9 @@ class TestBeliefUpdate:
             if a == 0:
                 y = None
             else:
-                p1 = observation_probability(b, a, 1)
+                p1 = marginal_infection(b, a)
                 y = 1 if rng.random() < p1 else 0
-            q_after = q | {a} if (a != 0 and y == 1) else q
-            b = belief_update(b, a, y, g, q_after, 0.35, q_edges=q)
-            q = q_after
+            b, q = belief_update(b, g, q, a, y, 0.35)
             assert abs(sum(b.probs.values()) - 1.0) < 1e-9
             assert all(pr > 0 for pr in b.probs.values())
 
@@ -141,10 +138,8 @@ class TestBeliefUpdate:
                         q = frozenset()
                         b = b0
                         try:
-                            q1 = q | {a1} if (a1 != 0 and y1 == 1) else q
-                            b = belief_update(b, a1, y1, g, q1, p, q_edges=q)
-                            q2 = q1 | {a2} if (a2 != 0 and y2 == 1) else q1
-                            b = belief_update(b, a2, y2, g, q2, p, q_edges=q1)
+                            b, q1 = belief_update(b, g, q, a1, y1, p)
+                            b, _ = belief_update(b, g, q1, a2, y2, p)
                         except InconsistentObservationError:
                             assert want is None
                             continue
@@ -152,12 +147,32 @@ class TestBeliefUpdate:
                         assert b.probs == pytest.approx(want, abs=1e-9)
 
 
+class TestBeliefUpdateContract:
+    g = ContactGraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0)])
+    q = frozenset({3})
+
+    def test_returns_next_quarantine(self):
+        b = Belief.uniform(3)
+        assert belief_update(b, self.g, self.q, 2, 1, 0.5)[1] == frozenset({2, 3})
+        assert belief_update(b, self.g, self.q, 2, 0, 0.5)[1] == self.q
+        assert belief_update(b, self.g, self.q, 0, None, 0.5)[1] == self.q
+
+    @pytest.mark.parametrize("a, y", [(0, 1), (2, None)])
+    def test_mismatched_observation_is_a_contract_violation(self, a, y):
+        with pytest.raises(ContractViolation):
+            belief_update(Belief.uniform(3), self.g, self.q, a, y, 0.5)
+
+    def test_impossible_outcome(self):
+        b = Belief.point(SystemState.from_bits((1, 0, 0)))
+        with pytest.raises(InconsistentObservationError):
+            belief_update(b, self.g, self.q, 2, 1, 0.5)
+
+
 class TestFunctionals:
     def test_marginal(self):
         b = Belief.point(SystemState.from_bits((1, 0)))
-        assert marginal_infection(b, 1, EMPTY) == 1.0
-        assert marginal_infection(b, 1, frozenset({1})) == 0.0
-        assert marginal_infection(Belief.uniform(2), 2, EMPTY) == pytest.approx(0.5)
+        assert marginal_infection(b, 1) == 1.0
+        assert marginal_infection(Belief.uniform(2), 2) == pytest.approx(0.5)
 
     def test_expected_infections(self):
         assert expected_infections(Belief.point(SystemState.from_bits((1, 1)))) == 2
@@ -167,5 +182,5 @@ class TestFunctionals:
     def test_marginal_sums_to_expected(self):
         rng = np.random.default_rng(5)
         b = Belief.from_dense(rng.dirichlet(np.ones(8)), 3)
-        total = sum(marginal_infection(b, u, EMPTY) for u in (1, 2, 3))
+        total = sum(marginal_infection(b, u) for u in (1, 2, 3))
         assert total == pytest.approx(expected_infections(b))

@@ -1,4 +1,5 @@
-"""The exact-solver and sandwich demos run to completion.
+"""The model, belief-tracking, exact-solver and sandwich demos run to
+completion.
 
 Each demo runs in its own interpreter, as a reader would run it, with the
 package source on the path. Demo 05 (a full policy benchmark, over 15 s) is
@@ -15,7 +16,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["03_exact_solver.py", "04_sandwich_bounds.py"])
+@pytest.mark.parametrize("demo", [
+    "01_model_and_spread.py", "02_belief_tracking.py", "03_exact_solver.py",
+    "04_sandwich_bounds.py",
+])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -294,14 +295,44 @@ class TestSerialization:
                                                   r"expected one or more rows of width 2\*\*2 = 4"):
             load_value_function(bad)
 
-    @pytest.mark.parametrize("stage", [0, 4])
-    def test_out_of_range_stage_rejected(self, saved, tmp_path, stage):
+    def rewrite_entries(self, saved, tmp_path, replace):
+        """A copy of the saved file with header entry k set to ``replace[k]``,
+        a [stage, quarantine] pair, or dropped where that is None. Scenario
+        C's entries are stage 1: [], stage 2: [], [1], [2] and stage 3: [],
+        [1], [1, 2], [2]."""
         path, arrays = saved
         header = json.loads(bytes(arrays["header"]).decode())
-        header["entries"][0][0] = stage
-        bad = self.rewrite(path, tmp_path, header=np.frombuffer(json.dumps(header).encode(),
-                                                                dtype=np.uint8))
+        entries = [replace.get(k, e) for k, e in enumerate(header["entries"])]
+        header["entries"] = [e for e in entries if e is not None]
+        return self.rewrite(path, tmp_path, header=np.frombuffer(json.dumps(header).encode(),
+                                                                 dtype=np.uint8))
+
+    @pytest.mark.parametrize("stage", [0, 4])
+    def test_out_of_range_stage_rejected(self, saved, tmp_path, stage):
+        bad = self.rewrite_entries(saved, tmp_path, {0: [stage, []]})
         with pytest.raises(ValidationError, match=rf"entry 0 \(stage {stage}, .*outside \[1, 3\]"):
+            load_value_function(bad)
+
+    @pytest.mark.parametrize("q, message", [
+        ([7], r"quarantined vertex outside \[1, 2\]"),
+        ([1, 2], r"2 quarantined, but at most 1 can be by stage 2"),
+    ], ids=["out-of-range-member", "too-many"])
+    def test_bad_quarantine_rejected(self, saved, tmp_path, q, message):
+        bad = self.rewrite_entries(saved, tmp_path, {1: [2, q]})
+        with pytest.raises(ValidationError, match=r"entry 1 \(stage 2, quarantine "
+                                                  + re.escape(str(q)) + r"\): " + message):
+            load_value_function(bad)
+
+    def test_repeated_slice_rejected(self, saved, tmp_path):
+        bad = self.rewrite_entries(saved, tmp_path, {2: [2, []]})
+        with pytest.raises(ValidationError, match=r"entry 2 \(stage 2, quarantine \[\]\): "
+                                                  r"repeats entry 1"):
+            load_value_function(bad)
+
+    def test_missing_slice_rejected(self, saved, tmp_path):
+        bad = self.rewrite_entries(saved, tmp_path, {7: None})
+        with pytest.raises(ValidationError, match=r"lacks stage 3, quarantine \[2\]: "
+                                                  r"it has 7 of the 8 reachable slices"):
             load_value_function(bad)
 
     @pytest.mark.parametrize("tag", [-1, 3])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epitest.approx import BeliefGrid, approx_solve_upper
-from epitest.beliefs import Belief, expected_infections, observation_probability
+from epitest.beliefs import Belief, expected_infections, marginal_infection
 from epitest.errors import ValidationError
 from epitest.exact import solve
 from epitest.model import ContactGraph, ContactSchedule, SystemState, kernel_matrix
@@ -32,6 +32,7 @@ from _reference import (
     greedy_action_reference,
     two_stage_greedy_reference,
 )
+from _scenarios import random_beliefs, random_scenario
 
 EMPTY = frozenset()
 
@@ -297,6 +298,30 @@ class TestUniversalOptimality:
                         assert cost >= floor - 1e-9, (name, t)
 
 
+class TestAgainstOracleAtLargerN:
+    """Exact tree values of the adaptive policies against the brute-force
+    oracle beyond the N <= 3 presets."""
+
+    @pytest.mark.parametrize("n, horizon, p, lam, seed, per_step", [
+        (4, 4, 0.6, 0.3, 21, True),  # a different graph at every step
+        (5, 4, 1.0, 0.0, 22, False),  # certain crossing, free tests
+        (6, 4, 0.5, 0.2, 23, False),
+    ], ids=["n4-schedule", "n5-p1-free-tests", "n6"])
+    def test_policy_values_bracket_the_optimum(self, n, horizon, p, lam, seed, per_step):
+        rng = np.random.default_rng(seed)
+        cfg = random_scenario(n, horizon, p, lam, rng, per_step)
+        vf = solve(cfg)
+        names = ("exact", "never", "open_loop", "improved", "greedy", "lookahead")
+        policies = {name: make_policy(name, cfg, value_function=vf) for name in names}
+        for b in random_beliefs(n, rng):
+            best = oracle_value(cfg, b)
+            cost = {name: policy_tree_value(cfg, pol, b) for name, pol in policies.items()}
+            assert cost["exact"] == pytest.approx(best, abs=1e-9)
+            for name in names[1:]:
+                assert cost[name] >= best - 1e-9, name
+            assert cost["improved"] <= cost["open_loop"] + 1e-9
+
+
 class TestRegistry:
     def test_all_names_construct(self):
         cfg = scenario_b()
@@ -329,7 +354,7 @@ class TestCertainOutcome:
 
     def test_belief_policies_decide(self):
         cfg, b = self.certain_carrier()
-        assert observation_probability(b, 1, 1) < 1.0
+        assert marginal_infection(b, 1) < 1.0
         for name in ("lookahead", "improved", "exact"):
             assert make_policy(name, cfg)(ctx_at(cfg, 1, b)) == 1, name
 
