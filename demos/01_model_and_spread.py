@@ -10,8 +10,8 @@ from epitest import (
     SystemState,
     active_subgraph,
     sample_active_edge,
-    sample_step,
     transition_kernel,
+    transmit_with_uniform,
 )
 
 # Three people; 1 and 2 meet often, 1 and 3 rarely.
@@ -35,10 +35,11 @@ print("\nwith 1 quarantined, active contacts:", active_subgraph(graph, q).edges)
 for state, prob in transition_kernel(x, graph, q, 0.5).items():
     print(f"  -> {state}: {prob:.4f}")
 
-# The generative view: draw the active contact, then resolve transmission.
+# The generative view: draw the active contact, then resolve transmission
+# with one uniform variate (it crosses when the variate falls below p).
 rng = np.random.default_rng(7)
 print("\nfive sampled steps from", x, "(no quarantine):")
 for _ in range(5):
     edge = sample_active_edge(graph, frozenset(), rng)
-    nxt = sample_step(x, edge, 0.5, rng)
+    nxt = transmit_with_uniform(x, edge, 0.5, frozenset(), rng.random())
     print(f"  active contact {edge[:2]}, next state {nxt}")

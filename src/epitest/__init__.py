@@ -56,9 +56,9 @@ from .model import (
     flipped_vertex,
     infection_flows,
     sample_active_edge,
-    sample_step,
     single_flip,
     transition_kernel,
+    transmit_with_uniform,
 )
 from .oracle import oracle_value, predict_dense, tree_value
 from .policies import (

@@ -126,11 +126,15 @@ def _prune(n: int, raw: dict) -> Belief:
 # ---------------------------------------------------------------------------
 
 
-def _check_observation(a: int, y: Optional[int]):
-    if a == 0 and y is not None:
-        raise ContractViolation("observation must be None when nobody is tested")
-    if a != 0 and y is None:
+def _check_observation(a: int, y: Optional[int], n: int):
+    if a == 0:
+        if y is not None:
+            raise ContractViolation("observation must be None when nobody is tested")
+        return
+    if y is None:
         raise ContractViolation("a real test must come with a 0/1 outcome")
+    if not 1 <= a <= n:
+        raise ValidationError(f"tested vertex {a} outside [1, {n}]")
 
 
 def observation_likelihood(x, a: int, y: Optional[int]) -> float:
@@ -140,21 +144,20 @@ def observation_likelihood(x, a: int, y: Optional[int]) -> float:
     testing individual a reveals its indicator exactly.
     """
     state = x if isinstance(x, SystemState) else SystemState.from_bits(x)
-    _check_observation(a, y)
+    _check_observation(a, y, state.n)
     if a == 0:
         return 1.0
-    if not 1 <= a <= state.n:
-        raise ValidationError(f"tested vertex {a} outside [1, {state.n}]")
     return 1.0 if int(state.infected(a)) == int(y) else 0.0
 
 
 def filter_observation(b: Belief, a: int, y: Optional[int]) -> Belief:
     """Condition a belief on one test outcome (no time passes).
 
-    Raises InconsistentObservationError when the outcome has zero
-    probability under b.
+    Raises ValidationError when a is not 0 or a vertex in [1, n], and
+    InconsistentObservationError when the outcome has zero probability
+    under b.
     """
-    _check_observation(a, y)
+    _check_observation(a, y, b.n)
     if a == 0:
         return b
     want = int(y)

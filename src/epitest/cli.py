@@ -23,7 +23,6 @@ from .errors import (
 )
 from .exact import save_value_function, solve
 from .harness import (
-    ExperimentSpec,
     run_benchmark,
     run_sandwich_report,
     write_result_table,
@@ -31,7 +30,7 @@ from .harness import (
 )
 from .policies import OpenLoopPlan, make_policy
 from .scenario import load_scenario
-from .simulate import run_episode
+from .simulate import run_episode, run_seed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -156,39 +155,27 @@ def cmd_solve_approx(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load(args)
-    spec = ExperimentSpec(
-        scenario=cfg,
-        policies=tuple(tok.strip() for tok in args.policies.split(",") if tok.strip()),
-        n_runs=args.n_runs,
-        plan=_parse_plan(args.plan),
-        workers=args.workers,
-        seed_override=args.seed_override,
-    )
-    table = run_benchmark(spec)
-    write_result_table(table, Path(args.out_dir))
-    for r in table.rows:
-        if r.status != "ok":
-            print(f"{r.policy:>10}: {r.status}")
+    policies = tuple(tok.strip() for tok in args.policies.split(",") if tok.strip())
+    results = run_benchmark(cfg, policies, args.n_runs, _parse_plan(args.plan), args.workers)
+    write_result_table(results, cfg, args.n_runs, Path(args.out_dir))
+    for name, r, _ in results:
+        if r is None:
+            print(f"{name:>10}: cap_exceeded")
         else:
             se = f"{r.std_error:.4f}" if r.std_error is not None else "n/a"
-            print(f"{r.policy:>10}: cost={r.mean_cost:.4f} se={se} "
-                  f"tests={r.mean_tests_used:.3f} final_inf={r.mean_final_infections:.3f}")
+            print(f"{name:>10}: cost={r.mean_cost:.4f} se={se} "
+                  f"tests={r.mean_tests:.3f} final_inf={r.mean_final_infections:.3f}")
     print(f"written: {Path(args.out_dir) / 'results.csv'}")
     return EXIT_OK
 
 
 def cmd_sandwich(args) -> int:
     cfg = _load(args)
-    spec = ExperimentSpec(
-        scenario=cfg,
-        grid_sizes=tuple(
-            _count(r, "--grid-sizes") for r in _int_list(args.grid_sizes, "--grid-sizes")
-        ),
-        probe_count=_count(args.probes, "--probes"),
-        seed_override=args.seed_override,
+    grid_sizes = tuple(
+        _count(r, "--grid-sizes") for r in _int_list(args.grid_sizes, "--grid-sizes")
     )
-    rows = run_sandwich_report(spec)
-    write_sandwich_report(rows, spec, Path(args.out_dir))
+    rows = run_sandwich_report(cfg, grid_sizes, _count(args.probes, "--probes"))
+    write_sandwich_report(rows, cfg, Path(args.out_dir))
     bad = [r for r in rows if r.status in ("sandwich_violation", "oracle_outside")]
     coverage = [r for r in rows if r.status == "coverage"]
     per_r = {}
@@ -212,8 +199,7 @@ def cmd_trace(args) -> int:
     cfg = _load(args)
     policy = make_policy(args.policy, cfg, plan=_parse_plan(args.plan))
     index = _count(args.run_index, "--run-index")
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
-    trace = run_episode(cfg, policy, seq)
+    trace = run_episode(cfg, policy, run_seed(cfg.seed, index))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.jsonl"

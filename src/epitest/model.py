@@ -501,18 +501,6 @@ def sample_active_edge(g: ContactGraph, q: Quarantine, rng) -> Optional[tuple]:
     return next(e for e in reversed(dyn.active.edges) if e[2] > 0.0)
 
 
-def sample_step(x, edge: tuple, p: float, rng) -> SystemState:
-    """Resolve transmission along one active edge.
-
-    If exactly one endpoint is infected, the other catches the disease with
-    probability p; otherwise the state is unchanged. At most one bit flips.
-    """
-    x = _coerce_state(x)
-    if x.infected(edge[0]) == x.infected(edge[1]):
-        return x  # no variate drawn when nothing can cross
-    return transmit_with_uniform(x, edge, p, EMPTY_QUARANTINE, rng.random())
-
-
 def transmit_with_uniform(
     x: SystemState, edge: Optional[tuple], p: float, q_active: Quarantine, u: float
 ) -> SystemState:

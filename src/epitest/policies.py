@@ -28,7 +28,7 @@ from .beliefs import (
     predict_belief,
 )
 from .errors import ValidationError
-from .exact import ValueFunction
+from .exact import ValueFunction, solve
 from .model import (
     ContactGraph,
     EMPTY_QUARANTINE,
@@ -435,17 +435,12 @@ def check_lookahead_assumption(
 POLICY_NAMES = ("never", "random", "open_loop", "improved", "greedy", "lookahead", "exact")
 
 
-def make_policy(
-    name: str,
-    cfg: ScenarioConfig,
-    plan: Optional[OpenLoopPlan] = None,
-    value_function: Optional[ValueFunction] = None,
-):
+def make_policy(name: str, cfg: ScenarioConfig, plan: Optional[OpenLoopPlan] = None):
     """Build a policy by its scenario-config name.
 
     ``open_loop`` and ``improved`` use the given plan (default: round-robin
-    then stop); ``exact`` solves the scenario first unless a value function
-    is supplied, and raises SizeCapError beyond the exact caps.
+    then stop); ``exact`` solves the scenario first, and raises SizeCapError
+    beyond the exact caps.
     """
     if name == "never":
         return NeverTestPolicy()
@@ -460,9 +455,5 @@ def make_policy(
     if name == "improved":
         return policy_improved(plan or default_plan(cfg), cfg)
     if name == "exact":
-        if value_function is None:
-            from .exact import solve
-
-            value_function = solve(cfg)
-        return extract_policy(value_function)
+        return extract_policy(solve(cfg))
     raise ValidationError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")

@@ -166,15 +166,17 @@ class MonteCarloResult:
     final_infections: np.ndarray
 
 
-def _run_seed(base_seed: int, index: int) -> np.random.SeedSequence:
+def run_seed(base_seed: int, index: int) -> np.random.SeedSequence:
+    """The seed of run ``index`` under ``base_seed``: Monte Carlo run i and
+    ``trace --run-index i`` replay the same episode."""
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
 
 
 def _episode_stats(args):
-    cfg, policy, base_seed, start, stop = args
+    cfg, policy, start, stop = args
     out = []
     for i in range(start, stop):
-        trace = run_episode(cfg, policy, _run_seed(base_seed, i))
+        trace = run_episode(cfg, policy, run_seed(cfg.seed, i))
         out.append((i, trace.total_cost, trace.tests_used, trace.final_infections))
     return out
 
@@ -183,27 +185,24 @@ def monte_carlo_eval(
     cfg: ScenarioConfig,
     policy,
     n_runs: int,
-    base_seed: Optional[int] = None,
     workers: int = 1,
 ) -> MonteCarloResult:
     """Run seeded episodes and aggregate in fixed run order.
 
-    Run i draws its streams from (base_seed, spawn_key=i), so two policies
-    evaluated with the same base seed are paired. Aggregation order is run
-    order regardless of worker count, keeping reported numbers bit-identical
-    across parallelism levels.
+    Run i draws its streams from ``run_seed(cfg.seed, i)``, so two policies
+    evaluated on the same scenario are paired (``cfg.with_seed`` re-seeds
+    it). Aggregation order is run order regardless of worker count, keeping
+    reported numbers bit-identical across parallelism levels.
     """
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
-    if base_seed is None:
-        base_seed = cfg.seed
 
     if workers <= 1 or n_runs < 4:
-        rows = _episode_stats((cfg, policy, base_seed, 0, n_runs))
+        rows = _episode_stats((cfg, policy, 0, n_runs))
     else:
         bounds = np.linspace(0, n_runs, workers + 1).astype(int)
         chunks = [
-            (cfg, policy, base_seed, int(a), int(b))
+            (cfg, policy, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]

@@ -14,7 +14,12 @@ from epitest.approx import nested_grid_ladder, sandwich
 from epitest.beliefs import belief_update, expected_infections
 from epitest.errors import InconsistentObservationError
 from epitest.exact import solve
-from epitest.model import SystemState, sample_active_edge, sample_step, transition_kernel
+from epitest.model import (
+    SystemState,
+    sample_active_edge,
+    transition_kernel,
+    transmit_with_uniform,
+)
 from epitest.oracle import oracle_value
 from epitest.policies import (
     OpenLoopPlan,
@@ -207,7 +212,8 @@ def test_criterion_6_simulator_kernel_agreement(scenarios):
         counts = {}
         for _ in range(n_draws):
             edge = sample_active_edge(g, q, rng)
-            nxt = x if edge is None else sample_step(x, edge, cfg.p, rng)
+            # one transmission variate per step, as run_episode draws it
+            nxt = transmit_with_uniform(x, edge, cfg.p, q, rng.random())
             counts[nxt.mask] = counts.get(nxt.mask, 0) + 1
         assert set(counts) <= {m for m, pr in kernel.items() if pr > 0}
         for mask, pr in kernel.items():

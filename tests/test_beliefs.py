@@ -167,6 +167,14 @@ class TestBeliefUpdateContract:
         with pytest.raises(InconsistentObservationError):
             belief_update(b, self.g, self.q, 2, 1, 0.5)
 
+    @pytest.mark.parametrize("a, y", [(7, 1), (7, 0), (-1, 1)])
+    def test_tested_vertex_out_of_range(self, a, y):
+        b = Belief.uniform(3)
+        for update in (lambda: filter_observation(b, a, y),
+                       lambda: belief_update(b, self.g, EMPTY, a, y, 0.5)):
+            with pytest.raises(ValidationError, match=rf"tested vertex {a} outside \[1, 3\]"):
+                update()
+
 
 class TestFunctionals:
     def test_marginal(self):

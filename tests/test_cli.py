@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import pytest
@@ -81,6 +83,21 @@ class TestBench:
                 != (tmp_path / "y" / "per_run.csv").read_bytes())
 
 
+    def test_output_bytes_pinned(self, scenario_dir, tmp_path):
+        # criterion 8 compares reruns of one tree; these digests hold the
+        # files fixed across code changes, down to number formatting
+        assert main(["bench", "--scenario", scenario_path(scenario_dir),
+                     "--policies", "never,random,open_loop,improved,greedy,lookahead,exact",
+                     "--n-runs", "200", "--seed-override", "601",
+                     "--out-dir", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("results.csv", "per_run.csv")}
+        assert digests == {
+            "results.csv": "cda1cbed423ecfef36109508703ba32e49c44b2b0184cb920e455539d0ae5c93",
+            "per_run.csv": "9d350a88279f75c5e0525140528870bf1848cf539427ed4e009836e893c26f8f",
+        }
+
+
 class TestSandwich:
     def test_report(self, scenario_dir, tmp_path):
         rc = main(["sandwich", "--scenario", scenario_path(scenario_dir, "scenario_c.yaml"),
@@ -111,6 +128,27 @@ class TestTrace:
             rec = json.loads(ln)
             assert set(rec) == {"t", "active_edge", "action", "observation",
                                 "quarantine_after", "true_state", "stage_cost"}
+
+
+    @pytest.mark.parametrize("policy", ["greedy", "improved", "random"])
+    def test_trace_replays_per_run_row(self, policy, scenario_dir, tmp_path):
+        # the README's promise: trace --run-index i replays row i of per_run.csv
+        scenario = scenario_path(scenario_dir)
+        assert main(["bench", "--scenario", scenario, "--policies", policy,
+                     "--n-runs", "12", "--out-dir", str(tmp_path / "bench")]) == 0
+        with open(tmp_path / "bench" / "per_run.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for i in (0, 5, 11):
+            out = tmp_path / f"trace{i}"
+            assert main(["trace", "--scenario", scenario, "--policy", policy,
+                         "--run-index", str(i), "--out-dir", str(out)]) == 0
+            lines = (out / "trace.jsonl").read_text().splitlines()
+            head, last = json.loads(lines[0]), json.loads(lines[-1])
+            row = rows[i]
+            assert row["run_index"] == str(i)
+            assert format(head["total_cost"], ".12g") == row["cost"]
+            assert head["tests_used"] == int(row["tests_used"])
+            assert last["true_state"].count("1") == int(row["final_infections"])
 
 
 class TestMalformedInput:

@@ -12,9 +12,9 @@ from epitest.model import (
     kernel_matrix,
     one_step_min,
     sample_active_edge,
-    sample_step,
     single_flip,
     transition_kernel,
+    transmit_with_uniform,
     validate_action,
 )
 
@@ -234,14 +234,18 @@ class TestSampling:
         assert sample_active_edge(g, frozenset(), rng) == (1, 2, 1.0)
         assert rng.calls == 1
 
-    def test_sample_step(self):
+    def test_transmit_with_uniform(self):
         rng = np.random.default_rng(1)
         both = SystemState.from_bits((1, 1))
-        assert sample_step(both, (1, 2, 1.0), 0.5, rng) == both
+        assert transmit_with_uniform(both, (1, 2, 1.0), 0.5, frozenset(), rng.random()) == both
         none = SystemState.from_bits((0, 0))
-        assert sample_step(none, (1, 2, 1.0), 0.5, rng) == none
+        assert transmit_with_uniform(none, (1, 2, 1.0), 0.5, frozenset(), rng.random()) == none
         one = SystemState.from_bits((1, 0))
-        assert sample_step(one, (1, 2, 1.0), 1.0, rng) == both
+        assert transmit_with_uniform(one, (1, 2, 1.0), 1.0, frozenset(), rng.random()) == both
+        # it crosses only below p, and not into or out of quarantine
+        assert transmit_with_uniform(one, (1, 2, 1.0), 0.5, frozenset(), 0.5) == one
+        assert transmit_with_uniform(one, (1, 2, 1.0), 1.0, frozenset({1}), 0.0) == one
+        assert transmit_with_uniform(one, None, 1.0, frozenset(), 0.0) == one
 
     def test_validate_action(self):
         assert validate_action(0, 3) == 0

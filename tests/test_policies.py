@@ -17,6 +17,7 @@ from epitest.policies import (
     RandomTestPolicy,
     check_lookahead_assumption,
     default_plan,
+    extract_policy,
     greedy_value,
     make_policy,
     one_step_argmin,
@@ -287,9 +288,10 @@ class TestUniversalOptimality:
             vf = solve(cfg)
             plan = default_plan(cfg)
             policies = {
-                name: make_policy(name, cfg, plan=plan, value_function=vf)
-                for name in ("never", "open_loop", "improved", "greedy", "lookahead", "exact")
+                name: make_policy(name, cfg, plan=plan)
+                for name in ("never", "open_loop", "improved", "greedy", "lookahead")
             }
+            policies["exact"] = extract_policy(vf)
             for b in probe_beliefs(cfg.n, 5):
                 for t in range(1, cfg.horizon + 1):
                     floor = vf.value(t, b)
@@ -312,7 +314,8 @@ class TestAgainstOracleAtLargerN:
         cfg = random_scenario(n, horizon, p, lam, rng, per_step)
         vf = solve(cfg)
         names = ("exact", "never", "open_loop", "improved", "greedy", "lookahead")
-        policies = {name: make_policy(name, cfg, value_function=vf) for name in names}
+        policies = {name: make_policy(name, cfg) for name in names[1:]}
+        policies["exact"] = extract_policy(vf)
         for b in random_beliefs(n, rng):
             best = oracle_value(cfg, b)
             cost = {name: policy_tree_value(cfg, pol, b) for name, pol in policies.items()}
