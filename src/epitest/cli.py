@@ -95,10 +95,10 @@ def _load(args):
     return cfg
 
 
-def _count(value: int, flag: str) -> int:
-    """A count or run index from the command line: at least 0."""
-    if value < 0:
-        raise ValidationError(f"{flag} must be >= 0, got {value}")
+def _count(value: int, flag: str, least: int = 0) -> int:
+    """A count or run index from the command line: at least ``least``."""
+    if value < least:
+        raise ValidationError(f"{flag} must be >= {least}, got {value}")
     return value
 
 
@@ -156,7 +156,10 @@ def cmd_solve_approx(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load(args)
     policies = tuple(tok.strip() for tok in args.policies.split(",") if tok.strip())
-    results = run_benchmark(cfg, policies, args.n_runs, _parse_plan(args.plan), args.workers)
+    if not policies:
+        raise ValidationError(f"--policies names no policy: {args.policies!r}")
+    workers = _count(args.workers, "--workers", 1)
+    results = run_benchmark(cfg, policies, args.n_runs, _parse_plan(args.plan), workers)
     write_result_table(results, cfg, args.n_runs, Path(args.out_dir))
     for name, r, _ in results:
         if r is None:
@@ -174,7 +177,7 @@ def cmd_sandwich(args) -> int:
     grid_sizes = tuple(
         _count(r, "--grid-sizes") for r in _int_list(args.grid_sizes, "--grid-sizes")
     )
-    rows = run_sandwich_report(cfg, grid_sizes, _count(args.probes, "--probes"))
+    rows = run_sandwich_report(cfg, grid_sizes, _count(args.probes, "--probes", 1))
     write_sandwich_report(rows, cfg, Path(args.out_dir))
     bad = [r for r in rows if r.status in ("sandwich_violation", "oracle_outside")]
     coverage = [r for r in rows if r.status == "coverage"]

@@ -1,14 +1,23 @@
 """Independent brute-force valuation by expanding the reachable belief tree.
 
-This module deliberately avoids the alpha-vector machinery: beliefs are dense
-vectors, the prediction step enumerates active-edge realizations one contact
-at a time, and values come from plain backward induction over every
-action/observation branch. It exists to certify the exact solver and to
-evaluate fixed policies without Monte Carlo error.
+This module deliberately avoids the alpha-vector machinery and the model's
+``Dynamics``: beliefs are dense vectors, the prediction step enumerates
+active-edge realizations one contact at a time, and values come from plain
+backward induction over every action/observation branch. It exists to
+certify the exact solver and to evaluate fixed policies without Monte Carlo
+error.
+
+The edge enumeration for one (graph, quarantines, p) is the same at every
+tree node, so it is written down once as a plan of ordered moves (see
+``_build_plan``) and kept in a memo of the last 128 plans; each prediction then
+applies the plan with one ``np.add.at``. The moves are applied in the order
+the edge loop makes them, so every belief entry sees the same floating-point
+operations as an edge-by-edge scatter would give it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,27 +29,23 @@ from .scenario import ScenarioConfig
 DEFAULT_NODE_CAP = 2_000_000
 
 
-def predict_dense(
-    b: np.ndarray,
-    g,
-    q_edges: Quarantine,
-    q_active: Quarantine,
-    p: float,
-) -> np.ndarray:
-    """One-step belief push-forward by explicit enumeration of active edges.
+@lru_cache(maxsize=128)
+def _build_plan(g, q_edges: Quarantine, q_active: Quarantine, p: float, size: int) -> tuple:
+    """The push-forward of ``predict_dense`` as one ordered scatter.
 
-    For each edge of the contact subgraph (drawn with probability
-    weight / total), mass on states where exactly one endpoint is infected
-    flows to the state with the other endpoint infected too, scaled by p.
-    Endpoints quarantined after the edge was drawn block the crossing.
+    Walks the contact subgraph edge by edge (drawn with probability
+    weight / total). Where exactly one endpoint of an edge is infected, mass
+    moves to the state with the other endpoint infected too, scaled by p;
+    endpoints quarantined after the edge was drawn block the crossing. Each
+    move is listed twice, as a loss at the source state (coefficient
+    -edge_p) and a gain at the target (+edge_p), in that order. Returns
+    read-only (targets, sources, coefficients) arrays, empty when no edge
+    carries weight.
     """
     sub = active_subgraph(g, q_edges)
     total = sub.total_weight()
-    out = b.copy()
-    if total <= 0.0:
-        return out
-    size = len(b)
     masks = np.arange(size)
+    targets, sources, coefs = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     for i, j, w in sub.edges:
         if w == 0.0 or i in q_active or j in q_active:
             continue
@@ -51,9 +56,36 @@ def predict_dense(
         src_ij = np.nonzero(has_i & ~has_j)[0]  # i infected, j catches it
         src_ji = np.nonzero(~has_i & has_j)[0]
         for src, bit in ((src_ij, bj), (src_ji, bi)):
-            moved = b[src] * edge_p
-            np.subtract.at(out, src, moved)
-            np.add.at(out, src | bit, moved)
+            targets += [src, src | bit]
+            sources += [src, src]
+            coefs += [np.full(len(src), -edge_p), np.full(len(src), edge_p)]
+    plan = tuple(np.concatenate(parts) for parts in (targets, sources, coefs))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def predict_dense(
+    b: np.ndarray,
+    g,
+    q_edges: Quarantine,
+    q_active: Quarantine,
+    p: float,
+) -> np.ndarray:
+    """One-step belief push-forward by explicit enumeration of active edges.
+
+    The moves, in edge order, come from a plan built once per (graph,
+    quarantines, p, number of states) and kept in a memo of the last 128
+    plans; ``np.add.at`` applies them one after the other. A plan holds
+    |edges| * 2^N entries of 24 bytes, so the memo is bounded by
+    128 * 24 * |edges| * 2^N bytes (under 1 MiB at N = 5 on a ring), and a
+    call also holds one |edges| * 2^N float temporary for the moved mass
+    where an edge-by-edge scatter needed a few 2^N ones. The result is a
+    fresh array.
+    """
+    targets, sources, coefs = _build_plan(g, q_edges, q_active, p, len(b))
+    out = b.copy()
+    np.add.at(out, targets, b[sources] * coefs)
     return out
 
 

@@ -195,7 +195,9 @@ def monte_carlo_eval(
     reported numbers bit-identical across parallelism levels.
     """
     if n_runs < 1:
-        raise ValidationError("n_runs must be >= 1")
+        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
 
     if workers <= 1 or n_runs < 4:
         rows = _episode_stats((cfg, policy, 0, n_runs))

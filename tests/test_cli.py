@@ -111,6 +111,17 @@ class TestSandwich:
         # oracle column filled on this tiny instance
         assert all(row[6] != "" for row in body)
 
+    @pytest.mark.parametrize("name, digest", [
+        ("scenario_a.yaml", "616d60067b5e25b8e390b66539d3a9817e566db908f45eeb13c51559b146ebbb"),
+        ("scenario_d.yaml", "ca3eb48e812a20fc943a1aeaa604d60b5ec4452594bc5f572dd5b6819b856be9"),
+    ], ids=["scenario-a", "scenario-d"])
+    def test_output_bytes_pinned(self, name, digest, scenario_dir, tmp_path):
+        # the bounds and the oracle column, held fixed across code changes
+        # down to number formatting
+        assert main(["sandwich", "--scenario", scenario_path(scenario_dir, name),
+                     "--seed-override", "601", "--out-dir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "sandwich.csv").read_bytes()).hexdigest() == digest
+
 
 class TestTrace:
     def test_trace_replay(self, scenario_dir, tmp_path):
@@ -165,9 +176,14 @@ class TestMalformedInput:
         (["bench", "--policies", "open_loop", "--plan", "1,2"], ("plan length 2",)),
         (["bench", "--policies", "open_loop", "--plan", "1,2,9,0"], ("plan action 9",)),
         (["solve-approx", "--grid-size", "-3"], ("--grid-size", "-3")),
+        (["bench", "--policies", ""], ("--policies", "''")),
+        (["bench", "--policies", " , ,"], ("--policies", "' , ,'")),
+        (["sandwich", "--probes", "0"], ("--probes must be >= 1, got 0",)),
+        (["bench", "--workers", "-3", "--n-runs", "5"], ("--workers must be >= 1, got -3",)),
     ], ids=["plan-token", "grid-sizes-token", "run-index", "scenario-seed-validate",
             "scenario-seed-bench", "seed-override", "plan-length", "plan-action",
-            "grid-size"])
+            "grid-size", "policies-empty", "policies-only-commas", "probes-zero",
+            "workers-negative"])
     def test_exit_2_names_the_value(self, argv, named, scenario_dir, tmp_path, capsys):
         scenario = scenario_path(scenario_dir)
         if "--negative-seed" in argv:

@@ -15,13 +15,20 @@ from epitest.exact import (
     save_value_function,
     solve,
 )
-from epitest.model import ContactGraph, ContactSchedule, SystemState, infection_counts
+from epitest import oracle
+from epitest.model import (
+    ContactGraph,
+    ContactSchedule,
+    SystemState,
+    active_subgraph,
+    infection_counts,
+)
 from epitest.oracle import oracle_value, predict_dense
-from epitest.policies import extract_policy, policy_tree_value
+from epitest.policies import extract_policy, make_policy, policy_tree_value
 from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import ScenarioConfig
 
-from _scenarios import random_beliefs, random_scenario
+from _scenarios import random_beliefs, random_graph, random_scenario
 
 EMPTY = frozenset()
 
@@ -207,6 +214,103 @@ class TestOracleAtLargerN:
         vf = solve(cfg)
         for b in random_beliefs(n, rng):
             assert vf.value(1, b) == pytest.approx(oracle_value(cfg, b), abs=1e-9)
+
+
+class TestOraclePinned:
+    """Oracle and fixed-policy tree values, bit for bit, held fixed across
+    code changes (recorded before the push-forward became a memoized plan)."""
+
+    @pytest.mark.parametrize("n, horizon, p, lam, seed, per_step, optimal, greedy", [
+        (4, 5, 0.37, 0.3, 21, False, "0x1.3229a5ca7c403p+3", "0x1.3e617d3b6e2a3p+3"),
+        (5, 4, 0.6, 0.25, 22, True, "0x1.54eaffdfa5045p+3", "0x1.5d6538d8d8d04p+3"),
+        (6, 4, 0.45, 0.2, 23, False, "0x1.94067fc126c83p+3", "0x1.9748078f8ace6p+3"),
+    ], ids=["n4-static", "n5-schedule", "n6-static"])
+    def test_values_pinned(self, n, horizon, p, lam, seed, per_step, optimal, greedy):
+        rng = np.random.default_rng(seed)
+        cfg = random_scenario(n, horizon, p, lam, rng, per_step)
+        b = random_beliefs(n, rng)[1]  # full support
+        assert oracle_value(cfg, b).hex() == optimal
+        assert policy_tree_value(cfg, make_policy("greedy", cfg), b).hex() == greedy
+
+
+def predict_dense_edge_by_edge(b, g, q_edges, q_active, p):
+    """The push-forward as first written: two scatters per edge direction."""
+    sub = active_subgraph(g, q_edges)
+    total = sub.total_weight()
+    out = b.copy()
+    if total <= 0.0:
+        return out
+    masks = np.arange(len(b))
+    for i, j, w in sub.edges:
+        if w == 0.0 or i in q_active or j in q_active:
+            continue
+        edge_p = p * w / total
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        has_i = (masks & bi) != 0
+        has_j = (masks & bj) != 0
+        src_ij = np.nonzero(has_i & ~has_j)[0]
+        src_ji = np.nonzero(~has_i & has_j)[0]
+        for src, bit in ((src_ij, bj), (src_ji, bi)):
+            moved = b[src] * edge_p
+            np.subtract.at(out, src, moved)
+            np.add.at(out, src | bit, moved)
+    return out
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPredictDensePlan:
+    """predict_dense against the edge-by-edge push-forward, bit for bit."""
+
+    @staticmethod
+    def quarantine_pairs(n, rng):
+        """(q_edges, q_active) with q_edges inside q_active, equal or strictly."""
+        q_edges = frozenset(int(u) for u in rng.choice(np.arange(1, n + 1), 1))
+        extra = int(rng.choice([u for u in range(1, n + 1) if u not in q_edges]))
+        return [(EMPTY, EMPTY), (EMPTY, frozenset({extra})), (q_edges, q_edges),
+                (q_edges, q_edges | {extra})]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("zero_edge", [False, True])
+    def test_bit_identical(self, n, zero_edge):
+        rng = np.random.default_rng(100 * n + zero_edge)
+        for _ in range(3):
+            g = random_graph(n, rng, zero_edge=zero_edge)
+            for q_edges, q_active in self.quarantine_pairs(n, rng):
+                for p in (0.0, 1.0, 0.37):
+                    for b in random_beliefs(n, rng):
+                        dense = b.dense()
+                        want = predict_dense_edge_by_edge(dense, g, q_edges, q_active, p)
+                        assert bits_equal(predict_dense(dense, g, q_edges, q_active, p), want)
+
+    def test_all_quarantined_graph_moves_nothing(self):
+        g = ContactGraph.from_edges(4, [(1, 2, 1.0), (2, 3, 0.5), (3, 4, 2.0)])
+        everyone = frozenset({1, 2, 3, 4})
+        dense = random_beliefs(4, np.random.default_rng(5))[1].dense()
+        for q_edges in (everyone, frozenset({2, 3})):  # total weight 0 either way
+            out = predict_dense(dense, g, q_edges, everyone, 0.8)
+            assert out is not dense
+            assert bits_equal(out, dense)
+            assert bits_equal(out, predict_dense_edge_by_edge(dense, g, q_edges, everyone, 0.8))
+
+    def test_memo_hits_return_fresh_arrays(self):
+        rng = np.random.default_rng(9)
+        g = random_graph(5, rng, zero_edge=True)
+        q = frozenset({2})
+        first, second = (b.dense() for b in random_beliefs(5, rng)[1:])
+        want = predict_dense_edge_by_edge(first, g, EMPTY, q, 0.6)
+        out = predict_dense(first, g, EMPTY, q, 0.6)
+        assert bits_equal(out, want)
+        hits = oracle._build_plan.cache_info().hits
+        out[:] = np.nan  # the caller owns its result; the memo must not see this
+        assert bits_equal(predict_dense(first, g, EMPTY, q, 0.6), want)
+        assert oracle._build_plan.cache_info().hits == hits + 1
+        # the same key on another belief reuses the plan
+        assert bits_equal(predict_dense(second, g, EMPTY, q, 0.6),
+                          predict_dense_edge_by_edge(second, g, EMPTY, q, 0.6))
+        assert bits_equal(predict_dense(first, g, EMPTY, q, 0.6), want)
 
 
 class TestExtractPolicy:

@@ -115,6 +115,15 @@ class TestMonteCarlo:
         assert np.array_equal(seq.costs, par.costs)
         assert np.array_equal(seq.tests, par.tests)
 
+    @pytest.mark.parametrize("n_runs, workers, named", [
+        (0, 1, "n_runs must be >= 1, got 0"),
+        (5, 0, "workers must be >= 1, got 0"),
+        (5, -3, "workers must be >= 1, got -3"),
+    ])
+    def test_rejects_counts_below_one(self, n_runs, workers, named):
+        with pytest.raises(ValidationError, match=named):
+            monte_carlo_eval(scenario_a(), NeverTestPolicy(), n_runs, workers=workers)
+
     def test_random_policy_uses_policy_stream(self):
         cfg = scenario_a()
         res = monte_carlo_eval(cfg, RandomTestPolicy(), 200)
