@@ -10,9 +10,9 @@ from epitest import (
     SystemState,
     active_subgraph,
     sample_active_edge,
-    transition_kernel,
     transmit_with_uniform,
 )
+from epitest.model import dynamics
 
 # Three people; 1 and 2 meet often, 1 and 3 rarely.
 graph = ContactGraph.from_edges(3, [(1, 2, 3.0), (1, 3, 1.0)])
@@ -22,18 +22,23 @@ print("contact graph:", graph.edges)
 x = SystemState.from_bits((1, 0, 0))
 print("hidden state:", x, f"({x.count()} infected)")
 
-# The one-step transition kernel, marginalized over which contact activates.
+
+def show_step(q):
+    """The one-step distribution out of x under quarantine q, marginalized
+    over which contact activates: Dynamics pushes the point mass on x."""
+    for mask, prob in dynamics(graph, q, q, 0.5).predict({x.mask: 1.0}).items():
+        print(f"  -> {SystemState(mask, x.n)}: {prob:.4f}")
+
+
 # With transmission probability 0.5, individual 2 is at three times the risk
 # of individual 3 because of the contact weights.
 print("\none-step distribution (p = 0.5):")
-for state, prob in transition_kernel(x, graph, frozenset(), 0.5).items():
-    print(f"  -> {state}: {prob:.4f}")
+show_step(frozenset())
 
 # Quarantining individual 1 removes every contact that could transmit.
 q = frozenset({1})
 print("\nwith 1 quarantined, active contacts:", active_subgraph(graph, q).edges)
-for state, prob in transition_kernel(x, graph, q, 0.5).items():
-    print(f"  -> {state}: {prob:.4f}")
+show_step(q)
 
 # The generative view: draw the active contact, then resolve transmission
 # with one uniform variate (it crosses when the variate falls below p).

@@ -24,7 +24,6 @@ from .beliefs import (
     expected_infections,
     filter_observation,
     marginal_infection,
-    observation_likelihood,
     predict_belief,
 )
 from .errors import (
@@ -53,11 +52,8 @@ from .model import (
     Quarantine,
     SystemState,
     active_subgraph,
-    flipped_vertex,
     infection_flows,
     sample_active_edge,
-    single_flip,
-    transition_kernel,
     transmit_with_uniform,
 )
 from .oracle import oracle_value, predict_dense, tree_value

@@ -139,19 +139,17 @@ def prune_at_points(aset: AlphaSet, grid: BeliefGrid) -> AlphaSet:
     return AlphaSet(aset.values[winners], aset.actions[winners], aset.t, aset.quarantine)
 
 
-def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid, max_n: int):
-    if cfg.n > max_n:
-        raise SizeCapError(f"approximate solver capped at N <= {max_n}, got {cfg.n}")
+def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid):
+    if cfg.n > DEFAULT_MAX_N:
+        raise SizeCapError(f"approximate solver capped at N <= {DEFAULT_MAX_N}, got {cfg.n}")
     if grid.n != cfg.n:
         raise ValidationError("grid dimension does not match the scenario")
 
 
-def approx_solve_upper(
-    cfg: ScenarioConfig, grid: BeliefGrid, max_n: int = DEFAULT_MAX_N
-) -> ValueFunction:
+def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
     """Backward recursion with sample-point pruning after every backup; the
     result dominates the true value function everywhere."""
-    _check_grid(cfg, grid, max_n)
+    _check_grid(cfg, grid)
     table = _backward_induction(
         cfg,
         lambda q: _terminal_set(cfg, q),
@@ -259,16 +257,14 @@ def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
     return out
 
 
-def approx_solve_lower(
-    cfg: ScenarioConfig, grid: BeliefGrid, max_n: int = DEFAULT_MAX_N
-) -> LowerBound:
+def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
     """Backward recursion restricted to grid points.
 
     Raises CoverageError (naming the grid and the belief's support size) if
     some branch belief leaves the grid's convex hull; including all corners in
     the grid rules that out.
     """
-    _check_grid(cfg, grid, max_n)
+    _check_grid(cfg, grid)
     c = infection_counts(cfg.n)
     interp = _HullInterpolator(grid)
     pts = grid.matrix()

@@ -137,19 +137,6 @@ def _check_observation(a: int, y: Optional[int], n: int):
         raise ValidationError(f"tested vertex {a} outside [1, {n}]")
 
 
-def observation_likelihood(x, a: int, y: Optional[int]) -> float:
-    """P(test outcome | hidden state): tests are noiseless.
-
-    Action 0 means no test and carries the vacuous observation None;
-    testing individual a reveals its indicator exactly.
-    """
-    state = x if isinstance(x, SystemState) else SystemState.from_bits(x)
-    _check_observation(a, y, state.n)
-    if a == 0:
-        return 1.0
-    return 1.0 if int(state.infected(a)) == int(y) else 0.0
-
-
 def filter_observation(b: Belief, a: int, y: Optional[int]) -> Belief:
     """Condition a belief on one test outcome (no time passes).
 

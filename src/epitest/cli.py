@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("solve-exact", help="exact value function, saved to disk")
     _common_flags(sub)
-    sub.add_argument("--max-n", type=int, default=6)
-    sub.add_argument("--max-t", type=int, default=8)
 
     sub = subs.add_parser("solve-approx", help="upper/lower value bounds on a belief grid")
     _common_flags(sub)
@@ -128,7 +126,7 @@ def cmd_validate(args) -> int:
 
 def cmd_solve_exact(args) -> int:
     cfg = _load(args)
-    vf = solve(cfg, max_n=args.max_n, max_t=args.max_t)
+    vf = solve(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "value_function.npz"
@@ -159,8 +157,9 @@ def cmd_bench(args) -> int:
     if not policies:
         raise ValidationError(f"--policies names no policy: {args.policies!r}")
     workers = _count(args.workers, "--workers", 1)
-    results = run_benchmark(cfg, policies, args.n_runs, _parse_plan(args.plan), workers)
-    write_result_table(results, cfg, args.n_runs, Path(args.out_dir))
+    n_runs = _count(args.n_runs, "--n-runs", 1)
+    results = run_benchmark(cfg, policies, n_runs, _parse_plan(args.plan), workers)
+    write_result_table(results, cfg, n_runs, Path(args.out_dir))
     for name, r, _ in results:
         if r is None:
             print(f"{name:>10}: cap_exceeded")
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, CoverageError, FileNotFoundError) as exc:
+    except (ValidationError, CoverageError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SizeCapError as exc:

@@ -256,19 +256,16 @@ def _terminal_set(cfg: ScenarioConfig, q: Quarantine) -> AlphaSet:
     return AlphaSet(infection_counts(cfg.n)[None, :], [0], t=cfg.horizon, quarantine=q)
 
 
-def solve(
-    cfg: ScenarioConfig,
-    max_n: int = DEFAULT_MAX_N,
-    max_t: int = DEFAULT_MAX_T,
-) -> ValueFunction:
+def solve(cfg: ScenarioConfig) -> ValueFunction:
     """Backward value iteration over every reachable (stage, quarantine) pair.
 
-    Raises SizeCapError beyond the enumeration caps; larger instances belong
-    to the bounded approximate solver.
+    Raises SizeCapError beyond N = DEFAULT_MAX_N or T = DEFAULT_MAX_T,
+    before any backup; larger instances belong to the bounded approximate
+    solver.
     """
-    if cfg.n > max_n or cfg.horizon > max_t:
+    if cfg.n > DEFAULT_MAX_N or cfg.horizon > DEFAULT_MAX_T:
         raise SizeCapError(
-            f"exact solve capped at N <= {max_n}, T <= {max_t} "
+            f"exact solve capped at N <= {DEFAULT_MAX_N}, T <= {DEFAULT_MAX_T} "
             f"(got N={cfg.n}, T={cfg.horizon}); use the approximate solver "
             "for larger instances"
         )

@@ -93,36 +93,6 @@ class SystemState:
         return "".join(str(b) for b in self.bits)
 
 
-def _coerce_state(x) -> SystemState:
-    if isinstance(x, SystemState):
-        return x
-    return SystemState.from_bits(x)
-
-
-def single_flip(x, y) -> int:
-    """1 if the two states differ in exactly one position, else 0.
-
-    The disease spreads to at most one new individual per step, so this is
-    the reachability indicator between consecutive hidden states.
-    """
-    return 0 if flipped_vertex(x, y) is None else 1
-
-
-def flipped_vertex(x, y) -> Optional[int]:
-    """The unique vertex at which the two states differ, or None.
-
-    Defined only when :func:`single_flip` is 1; identifies the individual
-    that changed status between consecutive states.
-    """
-    x, y = _coerce_state(x), _coerce_state(y)
-    if x.n != y.n:
-        raise DimensionError(f"state lengths differ: {x.n} vs {y.n}")
-    diff = x.mask ^ y.mask
-    if diff.bit_count() != 1:
-        return None
-    return diff.bit_length()  # bit index + 1 == vertex id
-
-
 # ---------------------------------------------------------------------------
 # contact graphs
 # ---------------------------------------------------------------------------
@@ -408,6 +378,7 @@ def one_step_min(n: int, q: Quarantine, lam: float, children, value) -> tuple:
     return best_u, best_cost
 
 
+# Kept for perfbench/tracing.py, which wraps this name; no package code calls it.
 def infection_flows(
     x: SystemState,
     g: ContactGraph,
@@ -420,20 +391,6 @@ def infection_flows(
     if g.n_vertices != x.n:
         raise DimensionError(f"graph has {g.n_vertices} vertices, state has {x.n}")
     return dynamics(g, q_edges, q_active, p).flows(x.mask)
-
-
-def transition_kernel(x, g: ContactGraph, q: Quarantine, p: float) -> dict:
-    """One-step distribution over next states from x under quarantine q.
-
-    Mass moves only to states that add exactly one infection at a
-    non-quarantined vertex; the remaining mass stays on x. The returned dict
-    maps SystemState to probability and sums to 1.
-    """
-    x = _coerce_state(x)
-    if g.n_vertices != x.n:
-        raise DimensionError(f"graph has {g.n_vertices} vertices, state has {x.n}")
-    step = dynamics(g, q, q, p).predict({x.mask: 1.0})
-    return {SystemState(m, x.n): pr for m, pr in step.items()}
 
 
 def _enumeration_cap(n: int):
@@ -461,18 +418,6 @@ def outcome_indicator(n: int, u: int, y: int) -> np.ndarray:
     """Dense 0/1 vector over state masks: 1 where testing u gives outcome y."""
     hot = _bits_matrix(n)[:, u - 1]
     return hot if y else 1.0 - hot
-
-
-def kernel_matrix(
-    g: ContactGraph, q_edges: Quarantine, q_active: Quarantine, p: float
-) -> np.ndarray:
-    """Dense (2**n, 2**n) one-step transition matrix; row = current state.
-
-    Built on every call, for checks at small n; solvers use
-    :meth:`Dynamics.back` and :meth:`Dynamics.push` instead.
-    """
-    _enumeration_cap(g.n_vertices)
-    return dynamics(g, q_edges, q_active, p).back(np.eye(1 << g.n_vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -174,13 +174,15 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file; raises ValidationError on any
-    schema or invariant violation."""
-    with open(path, "r") as fh:
-        try:
+    """Parse and validate a scenario file; raises ValidationError on a path
+    that cannot be read and on any schema or invariant violation."""
+    try:
+        with open(path, "rb") as fh:  # bytes: PyYAML reports a bad encoding itself
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ValidationError(f"cannot parse scenario file {path}: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read scenario file {path}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"cannot parse scenario file {path}: {exc}") from exc
     return scenario_from_dict(doc)
 
 

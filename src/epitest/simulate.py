@@ -209,7 +209,7 @@ def monte_carlo_eval(
             if a < b
         ]
         rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_episode_stats, chunks):
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])

@@ -16,8 +16,8 @@ from epitest.errors import InconsistentObservationError
 from epitest.exact import solve
 from epitest.model import (
     SystemState,
+    dynamics,
     sample_active_edge,
-    transition_kernel,
     transmit_with_uniform,
 )
 from epitest.oracle import oracle_value
@@ -207,7 +207,7 @@ def test_criterion_6_simulator_kernel_agreement(scenarios):
     n_draws = 100_000
     for cfg, x, q in cases:
         g = cfg.graph_at(1)
-        kernel = {s.mask: pr for s, pr in transition_kernel(x, g, q, cfg.p).items()}
+        kernel = dynamics(g, q, q, cfg.p).predict({x.mask: 1.0})
         rng = np.random.default_rng(6000 + x.mask)
         counts = {}
         for _ in range(n_draws):

@@ -116,10 +116,21 @@ class TestUpperBound:
         for b in probe_beliefs(2, 10):
             assert ub.value(1, b) == pytest.approx(vf.value(1, b), abs=1e-9)
 
-    def test_cap(self):
-        cfg = config(2, 2, 0.5, 0.5, [(1, 2, 1.0)])
-        with pytest.raises(SizeCapError):
-            approx_solve_upper(cfg, BeliefGrid.corners(2), max_n=1)
+    def test_cap(self, monkeypatch):
+        # one past the cap, read at call time, is refused by both bounds
+        # before any backup
+        def no_backups(*args):
+            raise AssertionError("a capped solve started its backups")
+
+        monkeypatch.setattr(approx, "_backward_induction", no_backups)
+        for max_n in (approx.DEFAULT_MAX_N, 2):
+            monkeypatch.setattr(approx, "DEFAULT_MAX_N", max_n)
+            n = max_n + 1
+            cfg = config(n, 2, 0.5, 0.5, [(1, 2, 1.0)])
+            grid = BeliefGrid(n, [np.full(1 << n, 1.0 / (1 << n))], "center-only")
+            for bound in (approx_solve_upper, approx_solve_lower):
+                with pytest.raises(SizeCapError, match=f"got {n}"):
+                    bound(cfg, grid)
 
 
 class TestLowerBound:

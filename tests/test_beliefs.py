@@ -7,7 +7,6 @@ from epitest.beliefs import (
     expected_infections,
     filter_observation,
     marginal_infection,
-    observation_likelihood,
     predict_belief,
 )
 from epitest.errors import (
@@ -50,15 +49,22 @@ class TestBeliefType:
 
 class TestObservationModel:
     def test_likelihood(self):
-        assert observation_likelihood((1, 0), 1, 1) == 1.0
-        assert observation_likelihood((1, 0), 1, 0) == 0.0
-        assert observation_likelihood((1, 0), 0, None) == 1.0
+        # tests are noiseless: a known state keeps all its mass under the
+        # outcome it implies, the other outcome is impossible, and no test
+        # observes nothing
+        x = Belief.point(SystemState.from_bits((1, 0)))
+        assert filter_observation(x, 1, 1).probs == {0b01: 1.0}
+        assert filter_observation(x, 2, 0).probs == {0b01: 1.0}
+        assert filter_observation(x, 0, None) is x
+        with pytest.raises(InconsistentObservationError):
+            filter_observation(x, 1, 0)
 
     def test_contract_violations(self):
+        x = Belief.point(SystemState.from_bits((1, 0)))
         with pytest.raises(ContractViolation):
-            observation_likelihood((1, 0), 1, None)
+            filter_observation(x, 1, None)
         with pytest.raises(ContractViolation):
-            observation_likelihood((1, 0), 0, 1)
+            filter_observation(x, 0, 1)
 
     def test_filter_is_conditioning(self):
         b = belief_of(2, {0b00: 0.5, 0b01: 0.5})

@@ -26,8 +26,20 @@ class TestValidate:
                        "initial_belief: '000'\ngraphs: {edges: []}\n")
         assert main(["validate", "--scenario", str(bad)]) == 2
 
-    def test_missing_file(self, tmp_path):
-        assert main(["validate", "--scenario", str(tmp_path / "nope.yaml")]) == 2
+    def test_missing_file(self, tmp_path, capsys):
+        path = str(tmp_path / "nope.yaml")
+        assert main(["validate", "--scenario", path]) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_path_exits_2_naming_it(self, kind, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"n: 3\nhorizon: \xc3\x28\n")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestSolveExact:
@@ -180,10 +192,11 @@ class TestMalformedInput:
         (["bench", "--policies", " , ,"], ("--policies", "' , ,'")),
         (["sandwich", "--probes", "0"], ("--probes must be >= 1, got 0",)),
         (["bench", "--workers", "-3", "--n-runs", "5"], ("--workers must be >= 1, got -3",)),
+        (["bench", "--n-runs", "0"], ("--n-runs must be >= 1, got 0",)),
     ], ids=["plan-token", "grid-sizes-token", "run-index", "scenario-seed-validate",
             "scenario-seed-bench", "seed-override", "plan-length", "plan-action",
             "grid-size", "policies-empty", "policies-only-commas", "probes-zero",
-            "workers-negative"])
+            "workers-negative", "n-runs-zero"])
     def test_exit_2_names_the_value(self, argv, named, scenario_dir, tmp_path, capsys):
         scenario = scenario_path(scenario_dir)
         if "--negative-seed" in argv:

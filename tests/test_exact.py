@@ -15,7 +15,7 @@ from epitest.exact import (
     save_value_function,
     solve,
 )
-from epitest import oracle
+from epitest import exact, oracle
 from epitest.model import (
     ContactGraph,
     ContactSchedule,
@@ -105,12 +105,18 @@ class TestSolve:
         for b in probe_beliefs(1, 10):
             assert vf.value(1, b) == pytest.approx(2 * b.dense()[1], abs=1e-12)
 
-    def test_caps(self):
-        cfg = tiny_config(3, 3, 0.5, 0.5, [(1, 2, 1.0)])
-        with pytest.raises(SizeCapError):
-            solve(cfg, max_n=2)
-        with pytest.raises(SizeCapError):
-            solve(cfg, max_t=2)
+    def test_caps(self, monkeypatch):
+        # one past either cap, read at call time, is refused before any backup
+        def no_backups(*args):
+            raise AssertionError("a capped solve started its backups")
+
+        monkeypatch.setattr(exact, "_backward_induction", no_backups)
+        for max_n, max_t in ((exact.DEFAULT_MAX_N, exact.DEFAULT_MAX_T), (2, 2)):
+            monkeypatch.setattr(exact, "DEFAULT_MAX_N", max_n)
+            monkeypatch.setattr(exact, "DEFAULT_MAX_T", max_t)
+            for n, horizon in ((max_n + 1, 2), (2, max_t + 1)):
+                with pytest.raises(SizeCapError, match=f"got N={n}, T={horizon}"):
+                    solve(tiny_config(n, horizon, 0.5, 0.5, [(1, 2, 1.0)]))
 
     def test_concavity(self):
         cfg = scenario_a()

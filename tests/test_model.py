@@ -1,28 +1,28 @@
 import numpy as np
 import pytest
 
-from epitest.errors import ContractViolation, DimensionError, SizeCapError, ValidationError
+from epitest.errors import ContractViolation, SizeCapError, ValidationError
 from epitest.model import (
     ContactGraph,
     ContactSchedule,
+    Dynamics,
     SystemState,
     active_subgraph,
-    flipped_vertex,
-    infection_flows,
-    kernel_matrix,
+    dynamics,
     one_step_min,
     sample_active_edge,
-    single_flip,
-    transition_kernel,
     transmit_with_uniform,
     validate_action,
 )
 
 from _reference import step_distribution
 
+EMPTY = frozenset()
 
-def masks(dist):
-    return {s.mask: pr for s, pr in dist.items()}
+
+def row(g, q, p, mask):
+    """One row of the one-step kernel under quarantine q: {next mask: prob}."""
+    return dynamics(g, q, q, p).predict({mask: 1.0})
 
 
 class TestStates:
@@ -40,22 +40,6 @@ class TestStates:
             SystemState(0, 0)
         with pytest.raises(ValidationError):
             SystemState.from_bits((0, 2))
-
-    def test_single_flip(self):
-        assert single_flip((0, 0), (0, 1)) == 1
-        assert single_flip((0, 0), (0, 0)) == 0
-        assert single_flip((1, 0, 0), (0, 1, 0)) == 0
-
-    def test_flipped_vertex(self):
-        assert flipped_vertex((0, 0), (0, 1)) == 2
-        assert flipped_vertex((1, 1), (1, 1)) is None
-        assert flipped_vertex((1, 0, 1), (0, 0, 0)) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            single_flip((0, 0), (0, 0, 0))
-        with pytest.raises(DimensionError):
-            flipped_vertex((0,), (0, 0))
 
 
 class TestGraphs:
@@ -100,18 +84,17 @@ class TestGraphs:
 class TestTransitionKernel:
     def test_single_edge(self):
         g = ContactGraph.from_edges(2, [(1, 2, 1.0)])
-        dist = masks(transition_kernel((1, 0), g, frozenset(), 0.3))
+        dist = row(g, EMPTY, 0.3, 0b01)
         assert dist == {0b11: pytest.approx(0.3), 0b01: pytest.approx(0.7)}
 
     def test_no_source(self):
         g = ContactGraph.from_edges(2, [(1, 2, 1.0)])
-        dist = masks(transition_kernel((0, 0), g, frozenset(), 0.9))
-        assert dist == {0b00: 1.0}
+        assert row(g, EMPTY, 0.9, 0b00) == {0b00: 1.0}
 
     def test_weight_normalization(self):
         # hand-normalized: weights 1:3 over total 4
         g = ContactGraph.from_edges(3, [(1, 2, 1.0), (1, 3, 3.0)])
-        dist = masks(transition_kernel((1, 0, 0), g, frozenset(), 1.0))
+        dist = row(g, EMPTY, 1.0, 0b001)
         assert dist[0b011] == pytest.approx(0.25)
         assert dist[0b101] == pytest.approx(0.75)
         assert dist[0b001] == pytest.approx(0.0, abs=1e-15)
@@ -126,16 +109,16 @@ class TestTransitionKernel:
                 q = frozenset(int(u) for u in rng.choice(n, size=rng.integers(0, n), replace=False) + 1)
                 p = float(rng.random())
                 for mask in range(1 << n):
-                    dist = transition_kernel(SystemState(mask, n), g, q, p)
+                    dist = row(g, q, p, mask)
                     assert abs(sum(dist.values()) - 1.0) < 1e-12
-                    for s, pr in dist.items():
-                        if s.mask == mask or pr == 0.0:
+                    for nxt, pr in dist.items():
+                        if nxt == mask or pr == 0.0:
                             continue
                         # only single new infections, never at a quarantined vertex
-                        assert single_flip(SystemState(mask, n), s) == 1
-                        flipped = flipped_vertex(SystemState(mask, n), s)
-                        assert not (mask >> (flipped - 1)) & 1
-                        assert flipped not in q
+                        flipped = nxt ^ mask
+                        assert flipped.bit_count() == 1
+                        assert not mask & flipped
+                        assert flipped.bit_length() not in q
 
     def test_matches_reference_enumeration(self):
         rng = np.random.default_rng(11)
@@ -144,18 +127,18 @@ class TestTransitionKernel:
             edges = [(i, j, float(rng.integers(1, 4))) for i, j in pairs]
             g = ContactGraph.from_edges(n, edges)
             for mask in range(1 << n):
-                got = masks(transition_kernel(SystemState(mask, n), g, frozenset(), 0.6))
-                want = step_distribution(n, edges, frozenset(), frozenset(), 0.6, mask)
+                got = row(g, EMPTY, 0.6, mask)
+                want = step_distribution(n, edges, EMPTY, EMPTY, 0.6, mask)
                 for key in set(got) | set(want):
                     assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-12)
 
-    def test_kernel_matrix_agrees_with_rows(self):
+    def test_dense_matrix_agrees_with_rows(self):
         g = ContactGraph.from_edges(3, [(1, 2, 1.0), (2, 3, 2.0), (1, 3, 0.5)])
-        P = kernel_matrix(g, frozenset(), frozenset({2}), 0.4)
+        dyn = dynamics(g, EMPTY, frozenset({2}), 0.4)
+        P = dyn.back(np.eye(8))
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         for mask in range(8):
-            flows = infection_flows(SystemState(mask, 3), g, frozenset(), frozenset({2}), 0.4)
-            for k, pr in flows.items():
+            for k, pr in dyn.flows(mask).items():
                 assert P[mask, mask | (1 << (k - 1))] == pytest.approx(pr)
 
     def test_quarantine_monotone_when_vertex_only_touches_infected(self):
@@ -170,7 +153,7 @@ class TestTransitionKernel:
                 g = ContactGraph.from_edges(n, edges)
                 for mask in range(1 << n):
                     x = SystemState(mask, n)
-                    live = active_subgraph(g, frozenset()).edges
+                    live = active_subgraph(g, EMPTY).edges
                     for v in range(1, n + 1):
                         if x.infected(v):
                             continue
@@ -179,10 +162,9 @@ class TestTransitionKernel:
                             x.infected(e[0] if e[1] == v else e[1]) for e in touching
                         ):
                             continue
-                        base = sum(infection_flows(x, g, frozenset(), frozenset(), 0.7).values())
-                        less = sum(
-                            infection_flows(x, g, frozenset({v}), frozenset({v}), 0.7).values()
-                        )
+                        base = sum(dynamics(g, EMPTY, EMPTY, 0.7).flows(mask).values())
+                        qv = frozenset({v})
+                        less = sum(dynamics(g, qv, qv, 0.7).flows(mask).values())
                         assert less <= base + 1e-12
                         checked += 1
         assert checked > 50
@@ -190,11 +172,15 @@ class TestTransitionKernel:
     def test_p_out_of_range(self):
         g = ContactGraph.from_edges(2, [(1, 2, 1.0)])
         with pytest.raises(ValidationError):
-            transition_kernel((1, 0), g, frozenset(), 1.5)
+            dynamics(g, EMPTY, EMPTY, 1.5)
 
     def test_enumeration_cap(self):
-        with pytest.raises(SizeCapError):
-            kernel_matrix(ContactGraph(21, ()), frozenset(), frozenset(), 0.5)
+        # refused before any 2**21 table is built; a bare Dynamics keeps the
+        # oversized instance out of the shared cache
+        dyn = Dynamics(ContactGraph(21, ()), EMPTY, EMPTY, 0.5)
+        for op in (dyn.back, dyn.push):
+            with pytest.raises(SizeCapError):
+                op(np.zeros(1))
 
 
 class TestSampling:

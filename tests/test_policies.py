@@ -5,7 +5,7 @@ from epitest.approx import BeliefGrid, approx_solve_upper
 from epitest.beliefs import Belief, expected_infections, marginal_infection
 from epitest.errors import ValidationError
 from epitest.exact import solve
-from epitest.model import ContactGraph, ContactSchedule, SystemState, kernel_matrix
+from epitest.model import ContactGraph, ContactSchedule, SystemState, dynamics
 from epitest.oracle import oracle_value
 from epitest.policies import (
     GreedyPolicy,
@@ -100,7 +100,7 @@ class TestOpenLoop:
         # uncontrolled chain, a linear functional of the belief
         cfg = scenario_a()
         olv = OpenLoopValue(OpenLoopPlan((0, 0, 0, 0)), cfg)
-        P = kernel_matrix(cfg.graph_at(1), EMPTY, EMPTY, cfg.p)
+        P = dynamics(cfg.graph_at(1), EMPTY, EMPTY, cfg.p).back(np.eye(8))
         c = np.array([bin(m).count("1") for m in range(8)], dtype=float)
         expect = c + P @ c + P @ P @ c + P @ P @ P @ c
         assert np.allclose(olv.alpha(1, EMPTY), expect, atol=1e-12)

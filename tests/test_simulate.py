@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epitest import simulate
 from epitest.beliefs import Belief
 from epitest.errors import ContractViolation, ValidationError
 from epitest.model import ContactGraph, ContactSchedule, SystemState
@@ -114,6 +115,32 @@ class TestMonteCarlo:
         par = monte_carlo_eval(cfg, GreedyPolicy(), 40, workers=4)
         assert np.array_equal(seq.costs, par.costs)
         assert np.array_equal(seq.tests, par.tests)
+
+    def test_pool_is_sized_by_its_chunks(self, monkeypatch):
+        # a fork-started pool starts all max_workers processes at the first
+        # submit, so 4 runs must not ask for 64; this fake starts none
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+        cfg = scenario_b()
+        par = monte_carlo_eval(cfg, GreedyPolicy(), 4, workers=64)
+        seq = monte_carlo_eval(cfg, GreedyPolicy(), 4, workers=1)
+        assert sizes == [4]
+        assert np.array_equal(seq.costs, par.costs)
+        assert np.array_equal(seq.tests, par.tests)
+        assert np.array_equal(seq.final_infections, par.final_infections)
 
     @pytest.mark.parametrize("n_runs, workers, named", [
         (0, 1, "n_runs must be >= 1, got 0"),
