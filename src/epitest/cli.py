@@ -156,6 +156,9 @@ def cmd_bench(args) -> int:
     policies = tuple(tok.strip() for tok in args.policies.split(",") if tok.strip())
     if not policies:
         raise ValidationError(f"--policies names no policy: {args.policies!r}")
+    repeated = next((name for i, name in enumerate(policies) if name in policies[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"--policies names {repeated!r} more than once: {args.policies!r}")
     workers = _count(args.workers, "--workers", 1)
     n_runs = _count(args.n_runs, "--n-runs", 1)
     results = run_benchmark(cfg, policies, n_runs, _parse_plan(args.plan), workers)

@@ -206,6 +206,11 @@ def _up_index(n: int) -> np.ndarray:
     return np.arange(1 << n) | (1 << np.arange(n))[:, None]
 
 
+def quarantine_mask(q: Quarantine) -> int:
+    """The state mask with exactly the bits of the individuals in q set."""
+    return sum(1 << (u - 1) for u in q)
+
+
 class Dynamics:
     """One step of the epidemic under a fixed (graph, q_edges, q_active, p).
 
@@ -220,8 +225,15 @@ class Dynamics:
     crossings (:meth:`flows`), the sparse belief push-forward
     (:meth:`predict`), and the dense operators ``P @ V`` (:meth:`back`) and
     ``P.T @ b`` (:meth:`push`), which go through ``x | bit_k`` with index
-    arrays built once per n and never form the 2**n x 2**n matrix. Get
-    instances from :func:`dynamics`.
+    arrays built once per size and never form the 2**n x 2**n matrix.
+
+    ``back`` runs on a hypercube of free bits: the whole state space, or the
+    face of ``q_active``, the states that hold every member of q_active.
+    Infection is permanent, so the step maps that face into itself. A face
+    vector lists its states in increasing mask order, so its index is the
+    state with the bits of q_active taken out, and ``x | bit_k`` on it is
+    ``_up_index`` of the number of free bits. Each cube gets its flow/stay
+    tables on first use. Get instances from :func:`dynamics`.
     """
 
     def __init__(self, g: ContactGraph, q_edges: Quarantine, q_active: Quarantine, p: float):
@@ -233,6 +245,7 @@ class Dynamics:
         self.n = g.n_vertices
         self.active = active_subgraph(g, q_edges)  # the edges the draw can pick
         self.total = self.active.total_weight()
+        self._face = quarantine_mask(q_active)
         # (bit_i, bit_j, i, j, p * w / total) per edge that can carry a
         # crossing, in sorted-edge order
         self._crossings = tuple(
@@ -240,13 +253,18 @@ class Dynamics:
             for i, j, w in self.active.edges
             if w != 0.0 and i not in q_active and j not in q_active
         ) if self.total > 0.0 else ()
-        self._tables = None
+        self._tables = {}  # fixed-bit mask (0 or q_active's) -> (flow, stay)
 
     @property
     def nbytes(self) -> int:
-        """The most this instance holds: its edges, and its dense tables
-        whether or not they are built yet."""
-        return _EDGE_BYTES * (1 + len(self.active.edges)) + 8 * (self.n + 1) * (1 << self.n)
+        """The most this instance holds: its edges, and the dense tables of
+        the whole cube and of q_active's face, whether or not they are built
+        yet."""
+        free = self.n - self._face.bit_count()
+        tables = (self.n + 1) << self.n
+        if self._face:
+            tables += (free + 1) << free
+        return _EDGE_BYTES * (1 + len(self.active.edges)) + 8 * tables
 
     def flows(self, mask: int) -> dict:
         """{vertex k: P(k becomes infected)} out of state ``mask``, each
@@ -273,30 +291,42 @@ class Dynamics:
             out[mask] = out.get(mask, 0.0) + pr * (1.0 - moved)
         return out
 
-    def _flow_tables(self):
-        """(flow, stay): flow[k, x] = P(x -> x | bit k), stay[x] = P(x -> x).
+    def _flow_tables(self, fixed: int = 0):
+        """(flow, stay) on the cube of states holding every bit of
+        ``fixed`` (0, or q_active's mask): flow[r, x] = P(x -> x | bit k),
+        where k is the r-th free bit, and stay[x] = P(x -> x).
 
         Entries add up the same per-edge terms, in the same order, as
-        :meth:`flows`."""
-        if self._tables is None:
-            _enumeration_cap(self.n)
-            masks = np.arange(1 << self.n)
-            flow = np.zeros((self.n, 1 << self.n))
+        :meth:`flows`. The rows left out on a face are those of q_active's
+        bits, which no edge crosses into, so every face entry equals the
+        whole cube's entry for the same state."""
+        tables = self._tables.get(fixed)
+        if tables is None:
+            free = [k for k in range(self.n) if not fixed >> k & 1]
+            _enumeration_cap(len(free))
+            index = np.arange(1 << len(free))
+            masks = np.full(len(index), fixed)
+            for r, k in enumerate(free):
+                masks |= (index >> r & 1) << k
+            row = {k + 1: r for r, k in enumerate(free)}
+            flow = np.zeros((len(free), len(index)))
             for bi, bj, i, j, coef in self._crossings:
                 has_i, has_j = (masks & bi) != 0, (masks & bj) != 0
-                flow[j - 1] += coef * (has_i & ~has_j)
-                flow[i - 1] += coef * (has_j & ~has_i)
-            self._tables = (flow, 1.0 - flow.sum(axis=0))
-        return self._tables
+                flow[row[j]] += coef * (has_i & ~has_j)
+                flow[row[i]] += coef * (has_j & ~has_i)
+            tables = self._tables[fixed] = (flow, 1.0 - flow.sum(axis=0))
+        return tables
 
-    def back(self, V: np.ndarray) -> np.ndarray:
-        """P @ V for V of shape (2**n,) or (2**n, m): expected next-stage
-        values, row = current state."""
-        flow, stay = self._flow_tables()
+    def back(self, V: np.ndarray, on_face: bool = False) -> np.ndarray:
+        """P @ V for V of shape (2**f,) or (2**f, m): expected next-stage
+        values, row = current state. f = n over the whole state space;
+        ``on_face`` runs on q_active's face instead, with f = n - |q_active|
+        and rows indexed by the free bits (see the class docstring)."""
+        flow, stay = self._flow_tables(self._face if on_face else 0)
         V = np.asarray(V, dtype=np.float64)
         col = (Ellipsis,) + (None,) * (V.ndim - 1)
         out = stay[col] * V
-        for k, up in enumerate(_up_index(self.n)):
+        for k, up in enumerate(_up_index(len(flow))):
             out += flow[k][col] * V[up]  # flow is 0 where bit k is already set
         return out
 

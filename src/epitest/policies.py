@@ -27,18 +27,19 @@ from .beliefs import (
     marginal_infection,
     predict_belief,
 )
-from .errors import ValidationError
+from .errors import ContractViolation, ValidationError
 from .exact import ValueFunction, solve
 from .model import (
     ContactGraph,
     EMPTY_QUARANTINE,
     Quarantine,
+    SystemState,
     branches,
     candidate_actions,
     dynamics,
     infection_counts,
     one_step_min,
-    outcome_indicator,
+    quarantine_mask,
 )
 from .oracle import tree_value
 from .scenario import ScenarioConfig
@@ -192,6 +193,13 @@ class OpenLoopValue:
     With no minimization the backward recursion keeps a single linear piece;
     branch vectors follow the same observation/quarantine branching as the
     exact backup, with the plan's action substituted for the argmin.
+
+    Every reachable belief at quarantine q lives on q's face, the states
+    that hold every member of q (a positive test is a permanent infection),
+    so the (t, q) vector covers that face only: 2**(N - |q|) entries over the
+    free bits, in increasing mask order (see :class:`model.Dynamics`). A
+    positive test of u restricts the vector to the child's face, the rows of
+    q's face that hold u.
     """
 
     def __init__(self, plan: OpenLoopPlan, cfg: ScenarioConfig):
@@ -200,25 +208,54 @@ class OpenLoopValue:
         self._alphas = {}
 
     def alpha(self, t: int, q: Quarantine = EMPTY_QUARANTINE) -> np.ndarray:
+        """The plan's cost-to-go from stage t on q's face. At q = {} that is
+        the whole 2**N vector, one entry per state mask."""
         q = frozenset(q)
         key = (t, q)
         if key in self._alphas:
             return self._alphas[key]
         cfg = self.cfg
-        c = infection_counts(cfg.n)
-        if t == cfg.horizon:
-            vec = c.astype(np.float64)
-        else:
+        free = [k for k in range(1, cfg.n + 1) if k not in q]
+        vec = len(q) + infection_counts(len(free))
+        if t < cfg.horizon:
             u = self.plan.action_at(t)
-            vec = c + cfg.lam if u else c
+            if u:
+                vec += cfg.lam
             for y, q_next, step in branches(cfg.graph_at(t), q, u, cfg.p):
-                back = step.back(self.alpha(t + 1, q_next))
-                vec = vec + (back if y is None else outcome_indicator(cfg.n, u, y) * back)
+                back = step.back(self.alpha(t + 1, q_next), on_face=True)
+                if y == 0:
+                    back = _rows_testing(back, free, u, 0)
+                rows = vec if y is None else _rows_testing(vec, free, u, y)
+                rows += back.reshape(rows.shape)
         self._alphas[key] = vec
         return vec
 
     def value(self, t, b, q=EMPTY_QUARANTINE):
-        return float(self.alpha(t, q) @ b.dense())
+        q = frozenset(q)
+        n, held = self.cfg.n, quarantine_mask(q)
+        dense = b.dense()
+        support = np.flatnonzero(dense)
+        off = support[(support & held) != held]
+        if off.size:
+            x = SystemState(int(off[0]), n)
+            missing = min(u for u in q if not x.infected(u))
+            raise ContractViolation(
+                f"belief puts mass {dense[off[0]]} on state {x}, where quarantined "
+                f"individual {missing} is healthy"
+            )
+        full = np.zeros(1 << n)
+        face = tuple(1 if n - d in q else slice(None) for d in range(n))
+        full.reshape((2,) * n)[face] = self.alpha(t, q).reshape((2,) * (n - len(q)))
+        return float(full @ dense)
+
+
+def _rows_testing(vec: np.ndarray, free: list, u: int, y: int) -> np.ndarray:
+    """The rows of a face vector over the ``free`` individuals where testing
+    u gives outcome y, as a view in increasing mask order. A quarantined u
+    is infected on every row of the face."""
+    if u not in free:
+        return vec if y else vec[:0]
+    return vec.reshape(-1, 2, 1 << free.index(u))[:, y]
 
 
 # ---------------------------------------------------------------------------

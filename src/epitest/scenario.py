@@ -95,8 +95,15 @@ class ScenarioConfig:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Canonical-JSON SHA-256 prefix of the content. It is computed once
+        per instance and kept in the instance dict, outside the fields, so
+        equality and the constructor do not see it."""
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(blob.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)

@@ -41,3 +41,17 @@ def random_scenario(n, horizon, p, lam, rng, per_step=False):
     else:
         schedule = ContactSchedule.static(horizon, random_graph(n, rng, zero_edge=True))
     return ScenarioConfig(n, horizon, p, lam, schedule, Belief.uniform(n), 0)
+
+
+def ring_scenario(n, lam, chord_seed=3):
+    """The ring 1-2-...-n-1 at weight 1 plus up to n seeded chords of weight
+    0.5, horizon n, p = 0.5, from 0.5 on all-healthy and 0.5/n on each
+    single index case."""
+    edges = {(i, i + 1) if i < n else (1, n): 1.0 for i in range(1, n + 1)}
+    rng = np.random.default_rng(chord_seed)
+    for _ in range(n):
+        a, b = sorted(int(v) for v in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        edges.setdefault((a, b), 0.5)
+    g = ContactGraph.from_edges(n, [(a, b, w) for (a, b), w in edges.items()])
+    prior = {0: 0.5, **{1 << k: 0.5 / n for k in range(n)}}
+    return ScenarioConfig(n, n, 0.5, lam, ContactSchedule.static(n, g), Belief(n, prior), 0)

@@ -1,5 +1,6 @@
 """The one-step primitive against the independent references at N = 4-6,
-its byte-bounded cache, and a memory guard for a policy episode at N = 10."""
+its face operator against its whole-space rows, its byte-bounded cache, and
+memory guards for policy episodes at N = 10 and 12."""
 
 import os
 import subprocess
@@ -84,6 +85,35 @@ class TestAgainstReference:
         np.testing.assert_allclose(dyn.push(b), oracle, rtol=0, atol=TOL)
 
 
+@pytest.mark.parametrize("n,p,seed", CASES)
+def test_back_on_face_is_the_full_rows(n, p, seed):
+    """On q_active's face, back gives the whole-space operator's rows for the
+    face's states, bit for bit; here the graph carries a zero-weight edge
+    and q_edges sits strictly inside q_active."""
+    _, _, rng, (edges, q_edges, q_active) = random_case(n, p, seed)
+    edges = [e for e in edges if e[:2] != (1, n)] + [(1, n, 0.0)]
+    assert q_edges < q_active
+    dyn = Dynamics(ContactGraph.from_edges(n, edges), q_edges, q_active, p)
+    held = sum(1 << (u - 1) for u in q_active)
+    face = [x for x in range(1 << n) if x & held == held]
+    V = rng.uniform(0.0, 5.0, size=(1 << n, 3))
+    for W in (V, V[:, 0]):
+        on_face = dyn.back(W[face], on_face=True)
+        assert on_face.shape == W[face].shape
+        assert np.array_equal(on_face.view(np.uint64), dyn.back(W)[face].view(np.uint64))
+
+
+def test_tables_stay_within_nbytes():
+    g = ContactGraph.from_edges(6, [(i, i % 6 + 1, 1.0) for i in range(1, 7)])
+    for q_edges, q_active in [(set(), set()), ({2}, {2, 5}), (set(), {1, 2, 3, 4, 5, 6})]:
+        dyn = Dynamics(g, frozenset(q_edges), frozenset(q_active), 0.5)
+        dyn.back(np.ones(64))
+        dyn.back(np.ones(1 << (6 - len(q_active))), on_face=True)
+        dyn.push(np.full(64, 1 / 64))
+        held = sum(a.nbytes for tables in dyn._tables.values() for a in tables)
+        assert held <= dyn.nbytes
+
+
 def test_cache_stays_under_its_byte_bound():
     g = ContactGraph.from_edges(6, [(i, i % 6 + 1, 1.0) for i in range(1, 7)])
     keys = [(g, frozenset(), frozenset(), p) for p in (0.1, 0.2, 0.3, 0.4)]
@@ -102,6 +132,7 @@ def test_cache_stays_under_its_byte_bound():
 GUARD = textwrap.dedent(
     """
     import resource
+    import sys
     limit = 3 * 10**9
     resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
@@ -112,7 +143,7 @@ GUARD = textwrap.dedent(
     from epitest.scenario import ScenarioConfig
     from epitest.simulate import run_episode
 
-    n = 10
+    n = int(sys.argv[1])
     edges = {(i, i % n + 1): 1.0 for i in range(1, n)}
     edges[(1, n)] = 1.0
     rng = np.random.default_rng(3)
@@ -128,15 +159,29 @@ GUARD = textwrap.dedent(
 )
 
 
-def test_ring10_improved_episode_memory():
-    """At N = 10 dense 2**N x 2**N kernels would need gigabytes; the policy
-    episode must run in a fraction of that, in a child limited to 3 GB."""
+def improved_episode_peak_mib(n: int) -> float:
+    """Peak RSS of one ring-n improved episode, run in a child process
+    limited to 3 GB of address space."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", GUARD], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", GUARD, str(n)], env=env, capture_output=True, text=True,
+        timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
-    peak_mib = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    return int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_ring10_improved_episode_memory():
+    """At N = 10 dense 2**N x 2**N kernels would need gigabytes; the policy
+    episode must run in a fraction of that."""
+    peak_mib = improved_episode_peak_mib(10)
     assert peak_mib < 512, peak_mib
+
+
+def test_ring12_improved_episode_memory():
+    """The open-loop vectors cover quarantine faces only: 2**(N - |q|)
+    entries per (t, q), not 2**N, which keeps a ring-12 episode small."""
+    peak_mib = improved_episode_peak_mib(12)
+    assert peak_mib < 256, peak_mib

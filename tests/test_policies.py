@@ -1,11 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from epitest.approx import BeliefGrid, approx_solve_upper
-from epitest.beliefs import Belief, expected_infections, marginal_infection
-from epitest.errors import ValidationError
+from epitest.beliefs import Belief, belief_update, expected_infections, marginal_infection
+from epitest.errors import ContractViolation, ValidationError
 from epitest.exact import solve
-from epitest.model import ContactGraph, ContactSchedule, SystemState, dynamics
+from epitest.model import (
+    ContactGraph,
+    ContactSchedule,
+    SystemState,
+    branches,
+    candidate_actions,
+    dynamics,
+    infection_counts,
+    outcome_indicator,
+)
 from epitest.oracle import oracle_value
 from epitest.policies import (
     GreedyPolicy,
@@ -15,6 +26,7 @@ from epitest.policies import (
     OpenLoopValue,
     PolicyContext,
     RandomTestPolicy,
+    _outcomes,
     check_lookahead_assumption,
     default_plan,
     extract_policy,
@@ -25,15 +37,15 @@ from epitest.policies import (
     policy_one_step_lookahead,
     policy_tree_value,
 )
-from epitest.presets import probe_beliefs, scenario_a, scenario_b
+from epitest.presets import probe_beliefs, scenario_a, scenario_b, tiny_scenarios
 from epitest.scenario import ScenarioConfig
-from epitest.simulate import monte_carlo_eval, run_episode
+from epitest.simulate import monte_carlo_eval, run_episode, run_seed
 
 from _reference import (
     greedy_action_reference,
     two_stage_greedy_reference,
 )
-from _scenarios import random_beliefs, random_scenario
+from _scenarios import random_beliefs, random_scenario, ring_scenario
 
 EMPTY = frozenset()
 
@@ -122,6 +134,100 @@ class TestOpenLoop:
     def test_default_plan_round_robin(self):
         cfg = scenario_a()
         assert default_plan(cfg).actions == (1, 2, 3, 0)
+
+    def test_value_rejects_mass_off_the_quarantine_face(self):
+        cfg = scenario_a()
+        olv = OpenLoopValue(default_plan(cfg), cfg)
+        b = Belief(3, {0b010: 0.25, 0b011: 0.5, 0b110: 0.25})
+        with pytest.raises(ContractViolation, match="state 010.*individual 1 is healthy"):
+            olv.value(2, b, frozenset({1}))
+        assert olv.value(2, Belief(3, {0b011: 0.5, 0b111: 0.5}), frozenset({1})) > 0.0
+
+
+def full_open_loop_alphas(plan, cfg):
+    """(alpha, memo): the open-loop recursion over the whole state space, as
+    it stood before the vectors moved to quarantine faces. ``alpha(t, q)``
+    is the 2**N vector; ``memo`` maps each (t, q) computed so far to it."""
+    memo = {}
+
+    def alpha(t, q):
+        if (t, q) not in memo:
+            c = infection_counts(cfg.n)
+            if t == cfg.horizon:
+                vec = c.astype(np.float64)
+            else:
+                u = plan.action_at(t)
+                vec = c + cfg.lam if u else c
+                for y, q_next, step in branches(cfg.graph_at(t), q, u, cfg.p):
+                    back = step.back(alpha(t + 1, q_next))
+                    vec = vec + (back if y is None else outcome_indicator(cfg.n, u, y) * back)
+            memo[t, q] = vec
+        return memo[t, q]
+
+    return alpha, memo
+
+
+def face_states(n, q):
+    held = sum(1 << (u - 1) for u in q)
+    return [x for x in range(1 << n) if x & held == held]
+
+
+FACE_CASES = [("ring-8", ring_scenario(8, 0.3), None), ("ring-9", ring_scenario(9, 0.01), None),
+              ("ring-10", ring_scenario(10, 0.3), None)] + [
+    (name, cfg, OpenLoopPlan(tuple(min(u, cfg.n) for u in (1, 1, 2, 0, 2, 1)[:cfg.horizon])))
+    for name, cfg in tiny_scenarios().items()
+] + [(name + "-default", cfg, None) for name, cfg in tiny_scenarios().items()]
+
+
+class TestOpenLoopFaces:
+    """The (t, q) vectors live on q's face and equal, bit for bit, the
+    whole-space recursion restricted to that face."""
+
+    @pytest.mark.parametrize("name, cfg, plan", FACE_CASES, ids=[c[0] for c in FACE_CASES])
+    def test_face_vectors_are_full_vectors_restricted(self, name, cfg, plan):
+        plan = plan or default_plan(cfg)
+        olv = OpenLoopValue(plan, cfg)
+        alpha, full = full_open_loop_alphas(plan, cfg)
+        alpha(1, EMPTY)
+        for (t, q), vec in full.items():
+            face = olv.alpha(t, q)
+            assert len(face) == 1 << (cfg.n - len(q))
+            assert np.array_equal(face.view(np.uint64),
+                                  vec[face_states(cfg.n, q)].view(np.uint64)), (t, sorted(q))
+        assert set(olv._alphas) == set(full)
+
+    @pytest.mark.parametrize("n, lam", [(8, 0.3), (9, 0.01)])
+    def test_values_the_policy_weighs_are_full_dots(self, n, lam):
+        # every child value one_step_argmin asks for along three episodes
+        cfg = ring_scenario(n, lam)
+        plan = default_plan(cfg)
+        olv = OpenLoopValue(plan, cfg)
+        alpha, _ = full_open_loop_alphas(plan, cfg)
+        policy = policy_improved(plan, cfg)
+        for i in range(3):
+            trace = run_episode(cfg, policy, run_seed(cfg.seed, i))
+            b, q = cfg.initial_belief, EMPTY
+            for rec in trace.records[:-1]:
+                g = cfg.graph_at(rec.t)
+                for u in candidate_actions(cfg.n, q):
+                    for _, nb, q_next in _outcomes(b, g, q, u, cfg.p):
+                        got = olv.value(rec.t + 1, nb, q_next)
+                        assert got == float(alpha(rec.t + 1, q_next) @ nb.dense())
+                b, q = belief_update(b, g, q, rec.action, rec.observation, cfg.p)
+
+    def test_ring9_traces_pinned(self):
+        # recorded with whole-space open-loop vectors; a flipped tie would show
+        cfg = ring_scenario(9, 0.01)
+        pinned = {
+            "improved": "abb44e21b2bab736442a0685ef20db28c9d69ebb1504082a44205d452af4aade",
+            "lookahead": "ea7b531f25cdcd597a476ed9a8f415fccd5799a4a1aaa01442962b25c6deffea",
+        }
+        for name, digest in pinned.items():
+            policy = make_policy(name, cfg)
+            h = hashlib.sha256()
+            for i in range(6):
+                h.update(run_episode(cfg, policy, run_seed(cfg.seed, i)).to_jsonl().encode())
+            assert h.hexdigest() == digest, name
 
 
 class TestImproved:

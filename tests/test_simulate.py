@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,20 @@ class TestMonteCarlo:
         assert np.array_equal(a.costs, b.costs)
         mean, se = paired_difference(a.costs, b.costs)
         assert mean == 0.0 and se == 0.0
+
+    def test_digest_is_computed_once(self, monkeypatch):
+        calls = []
+        original = ScenarioConfig.canonical_dict
+        monkeypatch.setattr(ScenarioConfig, "canonical_dict",
+                            lambda cfg: calls.append(1) or original(cfg))
+        cfg = scenario_a()
+        monte_carlo_eval(cfg, NeverTestPolicy(), 50)
+        assert len(calls) == 1
+        fresh = scenario_a()
+        assert cfg == fresh
+        assert pickle.loads(pickle.dumps(cfg)) == fresh
+        assert cfg.digest() == fresh.digest() and len(calls) == 2
+        assert cfg.with_seed(1).digest() != cfg.digest()
 
     def test_single_run_flags_std_error(self):
         cfg = scenario_a()
