@@ -4,7 +4,7 @@ independent tree oracle that certifies both.
 Run:  python demos/03_exact_solver.py
 """
 
-from epitest import evaluate, extract_policy, oracle_value, policy_tree_value, solve
+from epitest import OneStepPolicy, evaluate, oracle_value, policy_tree_value, solve
 from epitest.presets import probe_beliefs, scenario_a, scenario_c
 
 # The two-node chain is small enough to read the solution directly.
@@ -27,10 +27,11 @@ print(f"\nvalue at the uniform prior: {val:.6f} "
 # lands on the same number.
 print("tree oracle at the same belief:", round(oracle_value(cfg, b0), 6))
 
-# Benchmark scenario A: extract the optimal policy and evaluate it exactly.
+# Benchmark scenario A: the optimal policy is the one-step minimizer against
+# the solved value function; evaluate it exactly.
 cfg = scenario_a()
 vf = solve(cfg)
-policy = extract_policy(vf)
+policy = OneStepPolicy(vf)
 b0 = cfg.initial_belief
 print(f"\nscenario A optimal expected cost: {vf.value(1, b0):.6f}")
 print("exact evaluation of the extracted policy:",

@@ -59,6 +59,7 @@ from .model import (
 from .oracle import oracle_value, predict_dense, tree_value
 from .policies import (
     GreedyPolicy,
+    GreedyStageValue,
     NeverTestPolicy,
     OpenLoopPlan,
     OpenLoopPolicy,
@@ -68,11 +69,7 @@ from .policies import (
     RandomTestPolicy,
     check_lookahead_assumption,
     default_plan,
-    extract_policy,
-    greedy_value,
     make_policy,
-    policy_improved,
-    policy_one_step_lookahead,
     policy_tree_value,
 )
 from .scenario import ScenarioConfig, dump_scenario, load_scenario, scenario_from_dict

@@ -70,6 +70,8 @@ class BeliefGrid:
                 raise ValidationError("grid point dimension mismatch")
             if not np.all(np.isfinite(pt) & (np.asarray(pt) >= 0.0)):
                 raise ValidationError(f"grid point {k} has a negative or non-finite entry")
+            if abs(np.sum(pt) - 1.0) > SUM_TOLERANCE:
+                raise ValidationError(f"grid point {k} has mass {np.sum(pt)}, expected 1")
 
     def matrix(self) -> np.ndarray:
         return np.stack(self.points)
@@ -237,7 +239,7 @@ class LowerBound:
         return self.tables[(t, frozenset(q))]
 
     def value(self, t: int, b, q: Quarantine = EMPTY_QUARANTINE) -> float:
-        return self._interp.value(as_dense(b), self.grid_values(t, q))
+        return self._interp.value(as_dense(b, 1 << self.n), self.grid_values(t, q))
 
 
 def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .beliefs import as_dense
-from .errors import ContractViolation, DimensionError, SizeCapError, ValidationError
+from .errors import ContractViolation, SizeCapError, ValidationError
 from .model import (
     ContactGraph,
     EMPTY_QUARANTINE,
@@ -80,11 +80,7 @@ class Evaluation(NamedTuple):
 
 def evaluate(aset: AlphaSet, b) -> Evaluation:
     """Minimum inner product over the set; ties go to the lowest index."""
-    vec = as_dense(b)
-    if len(vec) != aset.values.shape[1]:
-        raise DimensionError(
-            f"belief dimension {len(vec)} != alpha dimension {aset.values.shape[1]}"
-        )
+    vec = as_dense(b, aset.values.shape[1])
     dots = aset.values @ vec
     idx = int(np.argmin(dots))
     return Evaluation(float(dots[idx]), idx)

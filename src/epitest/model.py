@@ -388,24 +388,36 @@ def branches(g: ContactGraph, q: Quarantine, u: int, p: float) -> list:
     return [(1, q1, dynamics(g, q, q1, p)), (0, q, dynamics(g, q, q, p))]
 
 
+TIE_RTOL = 1e-12  # relative tolerance of :func:`tied`
+
+
+def tied(a: float, b: float) -> bool:
+    """The tie rule of every policy decision, so that reordering a float sum
+    cannot flip a choice: |a - b| <= TIE_RTOL * max(|a|, |b|). The lowest
+    tied index wins, and a score must exceed a threshold beyond a tie."""
+    return abs(a - b) <= TIE_RTOL * max(abs(a), abs(b))
+
+
 def one_step_min(n: int, q: Quarantine, lam: float, children, value) -> tuple:
     """Minimize test cost plus expected next-stage value over the
     :func:`candidate_actions` of quarantine q.
 
     ``children(u)`` gives (probability, next belief, next quarantine) per
     observation branch of action u, in any belief representation that
-    ``value(next belief, next quarantine)`` accepts. Returns (action, cost),
-    the cost excluding the current stage; an exact tie goes to the lower
-    action, so no-test wins every tie it is in.
+    ``value(next belief, next quarantine)`` accepts. Returns (action, cost):
+    the lowest action whose cost is :func:`tied` with the minimum, so no-test
+    wins every tie it is in, and the minimum cost itself, excluding the
+    current stage.
     """
-    best_u, best_cost = 0, None
-    for u in candidate_actions(n, q):
+    actions = candidate_actions(n, q)
+    costs = []
+    for u in actions:
         cost = lam if u else 0.0
         for prob, nxt, q_next in children(u):
             cost += prob * value(nxt, q_next)
-        if best_cost is None or cost < best_cost:
-            best_u, best_cost = u, cost
-    return best_u, best_cost
+        costs.append(cost)
+    best = min(costs)
+    return next(u for u, c in zip(actions, costs) if tied(c, best)), best
 
 
 # Kept for perfbench/tracing.py, which wraps this name; no package code calls it.

@@ -28,7 +28,7 @@ from .beliefs import (
     predict_belief,
 )
 from .errors import ContractViolation, ValidationError
-from .exact import ValueFunction, solve
+from .exact import solve
 from .model import (
     ContactGraph,
     EMPTY_QUARANTINE,
@@ -40,6 +40,7 @@ from .model import (
     infection_counts,
     one_step_min,
     quarantine_mask,
+    tied,
 )
 from .oracle import tree_value
 from .scenario import ScenarioConfig
@@ -233,7 +234,7 @@ class OpenLoopValue:
     def value(self, t, b, q=EMPTY_QUARANTINE):
         q = frozenset(q)
         n, held = self.cfg.n, quarantine_mask(q)
-        dense = b.dense()
+        dense = as_dense(b, 1 << n)
         support = np.flatnonzero(dense)
         off = support[(support & held) != held]
         if off.size:
@@ -264,7 +265,8 @@ def _rows_testing(vec: np.ndarray, free: list, u: int, y: int) -> np.ndarray:
 
 
 class OneStepPolicy:
-    """Policy that minimizes test cost plus expected surrogate cost-to-go.
+    """Policy that minimizes test cost plus expected surrogate cost-to-go, over
+    OpenLoopValue (improved), a ValueFunction (exact) or GreedyStageValue (lookahead).
 
     Returns 0 at the terminal stage, where no decision can matter.
     """
@@ -281,19 +283,8 @@ class OneStepPolicy:
         return action
 
 
-def policy_improved(plan: OpenLoopPlan, cfg: ScenarioConfig) -> OneStepPolicy:
-    """One application of the improvement operator to the open-loop plan."""
-    return OneStepPolicy(OpenLoopValue(plan, cfg))
-
-
-def extract_policy(vf: ValueFunction) -> OneStepPolicy:
-    """The optimal policy, read off a solved value function stage by stage
-    (the value function is itself the surrogate)."""
-    return OneStepPolicy(vf)
-
-
 # ---------------------------------------------------------------------------
-# greedy and one-step look-ahead
+# greedy and its two-stage value
 # ---------------------------------------------------------------------------
 
 
@@ -312,8 +303,9 @@ def _greedy_scores(ctx: PolicyContext):
 class GreedyPolicy:
     """Exploitation-only rule: test the most dangerous individual.
 
-    Tests the argmax of the prevented-pressure score (lowest index on ties)
-    when that score exceeds the test cost, else does nothing.
+    Tests the lowest individual whose prevented-pressure score is
+    :func:`model.tied` with the top score, when that score exceeds the test
+    cost by more than a tie, else does nothing.
     """
 
     needs_belief = True
@@ -324,41 +316,30 @@ class GreedyPolicy:
         scores = _greedy_scores(ctx)
         if not scores:
             return 0
-        best_u = min(scores, key=lambda u: (-scores[u], u))
-        return best_u if scores[best_u] > ctx.cfg.lam else 0
-
-
-def greedy_value(ctx: PolicyContext) -> float:
-    """Two-stage cost under the greedy action: current expected infections,
-    plus expected next-stage infections and the test cost if one is taken.
-
-    At the terminal stage this is just the stage cost, so the function can
-    serve as a value surrogate for look-ahead."""
-    cfg, b = ctx.cfg, ctx.belief
-    stage = expected_infections(b)
-    if ctx.t >= cfg.horizon:
-        return stage
-    u = GreedyPolicy()(ctx)
-    nxt = sum(
-        prob * expected_infections(nb)
-        for prob, nb, _ in _outcomes(b, ctx.graph, ctx.quarantine, u, cfg.p)
-    )
-    return stage + nxt + (cfg.lam if u else 0.0)
+        top = max(scores.values())
+        u = next(u for u, score in scores.items() if tied(score, top))
+        return u if scores[u] > ctx.cfg.lam and not tied(scores[u], ctx.cfg.lam) else 0
 
 
 class GreedyStageValue:
-    """greedy_value as a per-stage functional (the look-ahead surrogate)."""
+    """The look-ahead surrogate: two-stage cost under the greedy action, that
+    is expected infections now and next stage, plus the test cost if one is
+    taken. At the terminal stage it is just the stage cost."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
 
     def value(self, t, b, q):
-        return greedy_value(PolicyContext(self.cfg, t, b, q))
-
-
-def policy_one_step_lookahead(cfg: ScenarioConfig) -> OneStepPolicy:
-    """Look-ahead against the greedy two-stage value, test cost included."""
-    return OneStepPolicy(GreedyStageValue(cfg))
+        cfg = self.cfg
+        stage = expected_infections(b)
+        if t >= cfg.horizon:
+            return stage
+        u = GreedyPolicy()(PolicyContext(cfg, t, b, q))
+        nxt = sum(
+            prob * expected_infections(nb)
+            for prob, nb, _ in _outcomes(b, cfg.graph_at(t), q, u, cfg.p)
+        )
+        return stage + nxt + (cfg.lam if u else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +365,8 @@ def policy_tree_value(
     def action_fn(tt, bb, qq):
         return policy(PolicyContext(cfg, tt, Belief.from_dense(bb, cfg.n), qq))
 
-    return tree_value(cfg, as_dense(b0), q, t, action_fn=action_fn, node_cap=node_cap)
+    b0 = as_dense(b0, 1 << cfg.n)
+    return tree_value(cfg, b0, q, t, action_fn=action_fn, node_cap=node_cap)
 
 
 @dataclass
@@ -486,11 +468,11 @@ def make_policy(name: str, cfg: ScenarioConfig, plan: Optional[OpenLoopPlan] = N
     if name == "greedy":
         return GreedyPolicy()
     if name == "lookahead":
-        return policy_one_step_lookahead(cfg)
+        return OneStepPolicy(GreedyStageValue(cfg))
     if name == "open_loop":
         return OpenLoopPolicy(_check_plan(plan or default_plan(cfg), cfg))
     if name == "improved":
-        return policy_improved(plan or default_plan(cfg), cfg)
+        return OneStepPolicy(OpenLoopValue(plan or default_plan(cfg), cfg))
     if name == "exact":
-        return extract_policy(solve(cfg))
+        return OneStepPolicy(solve(cfg))
     raise ValidationError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")

@@ -24,10 +24,9 @@ from epitest.oracle import oracle_value
 from epitest.policies import (
     OpenLoopPlan,
     OpenLoopValue,
+    OneStepPolicy,
     check_lookahead_assumption,
-    extract_policy,
     make_policy,
-    policy_improved,
     policy_tree_value,
 )
 from epitest.presets import probe_beliefs, scenario_a
@@ -114,7 +113,7 @@ def test_criterion_3_policy_improvement(scenarios):
         assert len(plans) >= 3
         for plan in plans:
             olv = OpenLoopValue(plan, cfg)
-            improved = policy_improved(plan, cfg)
+            improved = OneStepPolicy(OpenLoopValue(plan, cfg))
             for b in probes:
                 for t in range(1, cfg.horizon + 1):
                     v_im = policy_tree_value(cfg, improved, b, EMPTY, t)
@@ -284,7 +283,7 @@ def test_criterion_9_degenerate_sweeps():
     # lambda > N * T: the exact policy never tests
     pricey = ScenarioConfig(base.n, base.horizon, base.p, 13.0, base.schedule,
                             base.initial_belief, base.seed)
-    exact = extract_policy(solve(pricey))
+    exact = OneStepPolicy(solve(pricey))
     for seed in range(30):
         assert run_episode(pricey, exact, seed).tests_used == 0
 

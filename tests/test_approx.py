@@ -67,6 +67,13 @@ class TestGrids:
         with pytest.raises(ValidationError):
             BeliefGrid(2, [np.ones(3) / 3], "bad")
 
+    def test_rejects_points_whose_mass_is_not_one(self):
+        with pytest.raises(ValidationError, match="grid point 0 has mass 2.0"):
+            BeliefGrid(1, [[2.0, 0.0], [0.0, 1.0]], "x")
+        with pytest.raises(ValidationError, match="grid point 1 has mass 0.9"):
+            BeliefGrid(1, [[1.0, 0.0], [0.0, 0.9]], "x")
+        BeliefGrid(1, [[1.0, 0.0], [0.5, 0.5 + 0.5e-9]], "x")  # within SUM_TOLERANCE
+
     @pytest.mark.parametrize("bad", [-0.25, float("nan"), float("inf")])
     def test_rejects_negative_and_non_finite_entries(self, bad):
         with pytest.raises(ValidationError, match="grid point 1"):

@@ -41,6 +41,23 @@ class TestBeliefType:
         with pytest.raises(ValidationError):
             Belief(2, {})
 
+    def test_rejects_a_non_integer_mask(self):
+        with pytest.raises(ValidationError, match="support mask 1.5 is not an integer"):
+            belief_of(2, {1.5: 1.0})
+
+    def test_from_dense_rejects_nan_naming_its_state(self):
+        with pytest.raises(ValidationError, match="state 0 .*got nan"):
+            Belief.from_dense(np.array([np.nan, 1.0]), 1)
+        # negative entries are still dropped
+        assert Belief.from_dense(np.array([-0.0, 1.0]), 1).probs == {1: 1.0}
+
+    def test_hash_agrees_with_equality(self):
+        a = belief_of(2, {3: 0.5, 0: 0.5})
+        b = Belief.from_dense(np.array([0.5, 0.0, 0.0, 0.5]), 2)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+        assert a != belief_of(2, {3: 0.25, 0: 0.75})
+
     def test_dense_round_trip(self):
         b = belief_of(2, {1: 0.25, 2: 0.75})
         assert np.allclose(b.dense(), [0, 0.25, 0.75, 0])

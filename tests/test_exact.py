@@ -24,7 +24,7 @@ from epitest.model import (
     infection_counts,
 )
 from epitest.oracle import oracle_value, predict_dense
-from epitest.policies import extract_policy, make_policy, policy_tree_value
+from epitest.policies import OneStepPolicy, make_policy, policy_tree_value
 from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import ScenarioConfig
 
@@ -322,7 +322,7 @@ class TestPredictDensePlan:
 class TestExtractPolicy:
     def test_huge_test_cost_never_tests(self):
         cfg = tiny_config(2, 3, 0.5, 100.0, [(1, 2, 1.0)])
-        policy = extract_policy(solve(cfg))
+        policy = OneStepPolicy(solve(cfg))
         from epitest.simulate import run_episode
 
         for seed in range(10):
@@ -331,7 +331,7 @@ class TestExtractPolicy:
     def test_all_infected_tie_breaks_to_no_test(self):
         cfg = tiny_config(2, 3, 0.5, 0.0, [(1, 2, 1.0)])
         vf = solve(cfg)
-        policy = extract_policy(vf)
+        policy = OneStepPolicy(vf)
         from epitest.policies import PolicyContext
 
         ctx = PolicyContext(cfg, 1, Belief.point(SystemState.from_bits((1, 1))), EMPTY)
@@ -340,7 +340,7 @@ class TestExtractPolicy:
     def test_extracted_policy_achieves_solved_value(self):
         cfg = scenario_a()
         vf = solve(cfg)
-        policy = extract_policy(vf)
+        policy = OneStepPolicy(vf)
         b0 = cfg.initial_belief
         assert policy_tree_value(cfg, policy, b0) == pytest.approx(
             vf.value(1, b0), abs=1e-9
@@ -350,7 +350,7 @@ class TestExtractPolicy:
         from epitest.simulate import monte_carlo_eval
 
         cfg = scenario_a()
-        policy = extract_policy(solve(cfg))
+        policy = OneStepPolicy(solve(cfg))
         res = monte_carlo_eval(cfg, policy, 3000, workers=4)
         assert abs(res.mean_cost - SCENARIO_A_OPTIMAL_VALUE) <= 3 * res.std_error
 

@@ -7,10 +7,12 @@ from epitest.model import (
     ContactSchedule,
     Dynamics,
     SystemState,
+    TIE_RTOL,
     active_subgraph,
     dynamics,
     one_step_min,
     sample_active_edge,
+    tied,
     transmit_with_uniform,
     validate_action,
 )
@@ -272,3 +274,33 @@ class TestOneStepMin:
     def test_action_without_children_costs_lam(self):
         children = {0: [(1.0, 1.0)], 1: [], 2: [(1.0, 1.0)]}
         assert _one_step_min(2, frozenset(), 0.25, children) == (1, 0.25)
+
+
+class TestTieRule:
+    """One tie rule for every decision: costs within TIE_RTOL of the minimum,
+    relative to the larger magnitude, go to the lowest action."""
+
+    C = 0.3
+    BELOW = float(np.nextafter(0.3, -np.inf))  # one ulp under C
+
+    @pytest.mark.parametrize("cost1, cost2", [(C, BELOW), (BELOW, C)],
+                             ids=["lower-index-one-ulp-dearer", "lower-index-one-ulp-cheaper"])
+    def test_ulp_tie_between_symmetric_tests_goes_to_the_lower_index(self, cost1, cost2):
+        children = {0: [(1.0, 1.0)], 1: [(1.0, cost1)], 2: [(1.0, cost2)]}
+        assert _one_step_min(2, frozenset(), 0.0, children)[0] == 1
+
+    def test_returns_the_minimum_cost_when_a_tied_lower_index_wins(self):
+        children = {0: [(1.0, self.C)], 1: [(1.0, self.BELOW)], 2: [(1.0, 1.0)]}
+        assert _one_step_min(2, frozenset(), 0.0, children) == (0, self.BELOW)
+
+    @pytest.mark.parametrize("cheaper", [1, 2])
+    def test_a_margin_of_1e_9_is_decided_by_value(self, cheaper):
+        cost = {cheaper: self.C, 3 - cheaper: self.C * (1.0 + 1e-9)}
+        children = {0: [(1.0, 1.0)], 1: [(1.0, cost[1])], 2: [(1.0, cost[2])]}
+        assert _one_step_min(2, frozenset(), 0.0, children) == (cheaper, self.C)
+
+    def test_tolerance_is_relative_to_the_larger_magnitude(self):
+        assert TIE_RTOL == 1e-12
+        assert tied(1.0, 1.0 - 0.5e-12) and not tied(1.0, 1.0 - 2e-12)
+        assert tied(1e-20, 1e-20 * (1.0 + 0.5e-12)) and not tied(1e-20, 2e-20)
+        assert tied(0.0, 0.0) and not tied(0.0, 1e-300)

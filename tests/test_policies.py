@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from epitest.approx import BeliefGrid, approx_solve_upper
+from epitest.approx import BeliefGrid, approx_solve_lower, approx_solve_upper
 from epitest.beliefs import Belief, belief_update, expected_infections, marginal_infection
-from epitest.errors import ContractViolation, ValidationError
+from epitest.errors import ContractViolation, DimensionError, ValidationError
 from epitest.exact import solve
 from epitest.model import (
     ContactGraph,
@@ -16,25 +16,25 @@ from epitest.model import (
     dynamics,
     infection_counts,
     outcome_indicator,
+    tied,
 )
 from epitest.oracle import oracle_value
 from epitest.policies import (
     GreedyPolicy,
+    GreedyStageValue,
     NeverTestPolicy,
     OpenLoopPlan,
     OpenLoopPolicy,
     OpenLoopValue,
+    OneStepPolicy,
     PolicyContext,
     RandomTestPolicy,
+    _greedy_scores,
     _outcomes,
     check_lookahead_assumption,
     default_plan,
-    extract_policy,
-    greedy_value,
     make_policy,
     one_step_argmin,
-    policy_improved,
-    policy_one_step_lookahead,
     policy_tree_value,
 )
 from epitest.presets import probe_beliefs, scenario_a, scenario_b, tiny_scenarios
@@ -144,6 +144,23 @@ class TestOpenLoop:
         assert olv.value(2, Belief(3, {0b011: 0.5, 0b111: 0.5}), frozenset({1})) > 0.0
 
 
+
+class TestSurrogateDimensions:
+    """Every stage-value surrogate refuses a belief over another population
+    with the same error, naming both sizes."""
+
+    SURROGATES = {
+        "value_function": solve,
+        "open_loop": lambda cfg: OpenLoopValue(default_plan(cfg), cfg),
+        "lower_bound": lambda cfg: approx_solve_lower(cfg, BeliefGrid.corners(cfg.n)),
+    }
+
+    @pytest.mark.parametrize("name", SURROGATES)
+    def test_rejects_a_belief_of_another_size(self, name):
+        surrogate = self.SURROGATES[name](scenario_a())
+        with pytest.raises(DimensionError, match=r"belief dimension 4 != value dimension 8"):
+            surrogate.value(1, Belief.uniform(2), EMPTY)
+
 def full_open_loop_alphas(plan, cfg):
     """(alpha, memo): the open-loop recursion over the whole state space, as
     it stood before the vectors moved to quarantine faces. ``alpha(t, q)``
@@ -203,7 +220,7 @@ class TestOpenLoopFaces:
         plan = default_plan(cfg)
         olv = OpenLoopValue(plan, cfg)
         alpha, _ = full_open_loop_alphas(plan, cfg)
-        policy = policy_improved(plan, cfg)
+        policy = OneStepPolicy(OpenLoopValue(plan, cfg))
         for i in range(3):
             trace = run_episode(cfg, policy, run_seed(cfg.seed, i))
             b, q = cfg.initial_belief, EMPTY
@@ -233,7 +250,7 @@ class TestOpenLoopFaces:
 class TestImproved:
     def test_huge_cost_improvement_never_tests(self):
         cfg = config(2, 3, 0.5, 100.0, [(1, 2, 1.0)])
-        policy = policy_improved(OpenLoopPlan((0, 0, 0)), cfg)
+        policy = OneStepPolicy(OpenLoopValue(OpenLoopPlan((0, 0, 0)), cfg))
         for b in probe_beliefs(2, 5):
             assert policy(ctx_at(cfg, 1, b)) == 0
 
@@ -241,7 +258,7 @@ class TestImproved:
         cfg = scenario_b()
         plan = OpenLoopPlan((1, 2, 3))
         olv = OpenLoopValue(plan, cfg)
-        improved = policy_improved(plan, cfg)
+        improved = OneStepPolicy(OpenLoopValue(plan, cfg))
         for b in probe_beliefs(3, 8):
             for t in (1, 2, 3):
                 v_im = policy_tree_value(cfg, improved, b, EMPTY, t)
@@ -252,7 +269,7 @@ class TestImproved:
         cfg = config(1, 3, 0.0, 0.1, [])
         plan = OpenLoopPlan((1, 1, 1))
         olv = OpenLoopValue(plan, cfg)
-        improved = policy_improved(plan, cfg)
+        improved = OneStepPolicy(OpenLoopValue(plan, cfg))
         for b in probe_beliefs(1, 6):
             assert policy_tree_value(cfg, improved, b) <= olv.value(1, b) + 1e-9
 
@@ -285,10 +302,41 @@ class TestGreedy:
         for b in probe_beliefs(3, 10):
             assert GreedyPolicy()(ctx_at(cfg1, 1, b)) == GreedyPolicy()(ctx_at(cfg2, 1, b))
 
+    @staticmethod
+    def symmetric_pair(first, second):
+        # individuals 1 and 2 each touch only 3, at the same weight, so their
+        # scores are their marginals times the same power of two
+        b = Belief(3, {0: 1.0 - first - second, 1: first, 2: second})
+        return config(3, 3, 0.5, 0.0, [(1, 3, 1.0), (2, 3, 1.0)], belief=b), b
+
+    @pytest.mark.parametrize("first, second", [
+        (0.25, 0.25 + 2.0 ** -54), (0.25 + 2.0 ** -54, 0.25),
+    ], ids=["second-one-ulp-higher", "first-one-ulp-higher"])
+    def test_ulp_tie_between_symmetric_individuals_goes_to_the_lower_index(self, first, second):
+        cfg, b = self.symmetric_pair(first, second)
+        scores = _greedy_scores(ctx_at(cfg, 1, b))
+        assert scores[1] != scores[2] and tied(scores[1], scores[2])
+        assert GreedyPolicy()(ctx_at(cfg, 1, b)) == 1
+
+    @pytest.mark.parametrize("higher", [1, 2])
+    def test_a_margin_of_1e_9_is_decided_by_value(self, higher):
+        marginal = {higher: 0.25 * (1.0 + 1e-9), 3 - higher: 0.25}
+        cfg, b = self.symmetric_pair(marginal[1], marginal[2])
+        assert GreedyPolicy()(ctx_at(cfg, 1, b)) == higher
+
+    @pytest.mark.parametrize("lam_over_score, tests", [
+        (1.0, False), (1.0 - 0.5e-12, False), (1.0 - 1e-9, True),
+    ], ids=["equal", "within-a-tie", "beyond-a-tie"])
+    def test_tests_only_when_the_score_exceeds_lam_beyond_a_tie(self, lam_over_score, tests):
+        b = Belief.point(SystemState.from_bits((1, 0)))
+        score = _greedy_scores(ctx_at(config(2, 3, 0.5, 0.0, [(1, 2, 1.0)]), 1, b))[1]
+        cfg = config(2, 3, 0.5, score * lam_over_score, [(1, 2, 1.0)])
+        assert GreedyPolicy()(ctx_at(cfg, 1, b)) == (1 if tests else 0)
+
     def test_value_zero_when_nobody_infected(self):
         cfg = config(2, 3, 0.5, 0.0, [(1, 2, 1.0)])
         b = Belief.point(SystemState.from_bits((0, 0)))
-        assert greedy_value(ctx_at(cfg, 1, b)) == pytest.approx(0.0, abs=1e-12)
+        assert GreedyStageValue(cfg).value(1, b, EMPTY) == pytest.approx(0.0, abs=1e-12)
 
     def test_value_frozen_dynamics(self):
         cfg = config(3, 3, 0.0, 0.2, [(1, 2, 1.0), (2, 3, 1.0)])
@@ -296,13 +344,13 @@ class TestGreedy:
             ctx = ctx_at(cfg, 1, b)
             tests = GreedyPolicy()(ctx) != 0
             want = 2 * expected_infections(b) + (0.2 if tests else 0.0)
-            assert greedy_value(ctx) == pytest.approx(want, abs=1e-12)
+            assert GreedyStageValue(cfg).value(1, b, EMPTY) == pytest.approx(want, abs=1e-12)
 
     def test_value_matches_two_stage_enumeration(self):
         cfg = scenario_b()
         for b in probe_beliefs(3, 10):
             for t in (1, 2, 3):
-                got = greedy_value(ctx_at(cfg, t, b))
+                got = GreedyStageValue(cfg).value(t, b, EMPTY)
                 want = two_stage_greedy_reference(
                     3, b.probs, cfg.graph_at(t).edges, EMPTY, cfg.p, cfg.lam,
                     terminal=(t == cfg.horizon),
@@ -315,26 +363,26 @@ class TestGreedy:
         want = two_stage_greedy_reference(
             3, b.probs, cfg.graph_at(1).edges, EMPTY, cfg.p, cfg.lam, terminal=False
         )
-        assert greedy_value(ctx_at(cfg, 1, b)) == pytest.approx(want, abs=1e-9)
+        assert GreedyStageValue(cfg).value(1, b, EMPTY) == pytest.approx(want, abs=1e-9)
 
 
 class TestLookahead:
     def test_single_individual_matches_greedy(self):
         cfg = config(1, 3, 0.5, 0.1, [])
-        policy = policy_one_step_lookahead(cfg)
+        policy = OneStepPolicy(GreedyStageValue(cfg))
         for b in probe_beliefs(1, 10):
             for t in (1, 2, 3):
                 assert policy(ctx_at(cfg, t, b)) == GreedyPolicy()(ctx_at(cfg, t, b))
 
     def test_huge_cost_never_tests(self):
         cfg = config(3, 3, 0.5, 100.0, [(1, 2, 1.0), (2, 3, 1.0)])
-        policy = policy_one_step_lookahead(cfg)
+        policy = OneStepPolicy(GreedyStageValue(cfg))
         for b in probe_beliefs(3, 5):
             assert policy(ctx_at(cfg, 1, b)) == 0
 
     def test_simulated_no_worse_than_greedy(self):
         cfg = scenario_b()
-        la = monte_carlo_eval(cfg, policy_one_step_lookahead(cfg), 4000)
+        la = monte_carlo_eval(cfg, OneStepPolicy(GreedyStageValue(cfg)), 4000)
         gr = monte_carlo_eval(cfg, GreedyPolicy(), 4000)
         diff = la.costs - gr.costs
         se = diff.std(ddof=1) / np.sqrt(len(diff))
@@ -397,7 +445,7 @@ class TestUniversalOptimality:
                 name: make_policy(name, cfg, plan=plan)
                 for name in ("never", "open_loop", "improved", "greedy", "lookahead")
             }
-            policies["exact"] = extract_policy(vf)
+            policies["exact"] = OneStepPolicy(vf)
             for b in probe_beliefs(cfg.n, 5):
                 for t in range(1, cfg.horizon + 1):
                     floor = vf.value(t, b)
@@ -421,7 +469,7 @@ class TestAgainstOracleAtLargerN:
         vf = solve(cfg)
         names = ("exact", "never", "open_loop", "improved", "greedy", "lookahead")
         policies = {name: make_policy(name, cfg) for name in names[1:]}
-        policies["exact"] = extract_policy(vf)
+        policies["exact"] = OneStepPolicy(vf)
         for b in random_beliefs(n, rng):
             best = oracle_value(cfg, b)
             cost = {name: policy_tree_value(cfg, pol, b) for name, pol in policies.items()}

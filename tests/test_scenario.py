@@ -88,6 +88,12 @@ class TestConfig:
         assert a.digest() == b.digest()
         assert a.with_seed(1).digest() != a.digest()
 
+    def test_equal_configs_hash_equal_and_key_a_dict(self):
+        a, b = scenario_a(), scenario_a()
+        assert a == b and hash(a) == hash(b)
+        assert {a: "A"}[b] == "A"
+        assert a.with_seed(1) not in {a: "A"}
+
     def test_dimension_consistency_enforced(self):
         g = ContactGraph.from_edges(2, [(1, 2, 1.0)])
         with pytest.raises(ValidationError):
