@@ -40,7 +40,8 @@ from .model import (
 from .scenario import ScenarioConfig
 
 DEFAULT_MAX_N = 12
-GAP_TIGHT = 1e-9
+REGULAR_GRID_MAX_POINTS = 20000
+BRACKET_TOL = 1e-9  # a tighter gap is tight; bounds may cross or miss the oracle by this
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,8 @@ class BeliefGrid:
         size = 1 << self.n
         for k, pt in enumerate(self.points):
             if len(pt) != size:
-                raise ValidationError("grid point dimension mismatch")
+                raise ValidationError(f"grid point {k} has {len(pt)} entries, "
+                                      f"expected 2**{self.n} = {size}")
             if not np.all(np.isfinite(pt) & (np.asarray(pt) >= 0.0)):
                 raise ValidationError(f"grid point {k} has a negative or non-finite entry")
             if abs(np.sum(pt) - 1.0) > SUM_TOLERANCE:
@@ -90,16 +92,15 @@ class BeliefGrid:
         return cls(n, pts, f"uniform-random({r},seed={seed})")
 
     @classmethod
-    def regular(cls, n: int, m: int, max_points: int = 20000) -> "BeliefGrid":
+    def regular(cls, n: int, m: int) -> "BeliefGrid":
         """All beliefs with probabilities in multiples of 1/m."""
         size = 1 << n
         from math import comb
 
         count = comb(m + size - 1, size - 1)
-        if count > max_points:
-            raise SizeCapError(
-                f"regular grid would hold {count} points (cap {max_points})"
-            )
+        if count > REGULAR_GRID_MAX_POINTS:
+            raise SizeCapError(f"regular grid would hold {count} points "
+                               f"(cap {REGULAR_GRID_MAX_POINTS})")
         pts = []
         for cuts in combinations(range(m + size - 1), size - 1):
             parts = np.diff((-1,) + cuts + (m + size - 1,)) - 1
@@ -145,7 +146,8 @@ def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid):
     if cfg.n > DEFAULT_MAX_N:
         raise SizeCapError(f"approximate solver capped at N <= {DEFAULT_MAX_N}, got {cfg.n}")
     if grid.n != cfg.n:
-        raise ValidationError("grid dimension does not match the scenario")
+        raise ValidationError(f"grid dimension N = {grid.n} does not match "
+                              f"the scenario's N = {cfg.n}")
 
 
 def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
@@ -186,13 +188,17 @@ class _HullInterpolator:
         self.grid = grid
         pts = grid.matrix()
         self._a_eq = np.vstack([pts.T, np.ones(len(grid))])
-        self._cache = {}
         is_corner = (pts.max(axis=1) == 1.0) & (np.count_nonzero(pts, axis=1) == 1)
         states = pts[is_corner].argmax(axis=1)
         self._corner = np.full(pts.shape[1], -1)  # state -> corner column
         self._corner[states] = np.flatnonzero(is_corner)
         self._corner[np.bincount(states, minlength=pts.shape[1]) > 1] = -1  # duplicates
         self._others = pts[~is_corner] > 0.0  # supports of the non-corner points
+        # A corner's children lie on at most n + 1 states: all of them settle
+        # when each state has one corner and every other point more support.
+        settle = (self._corner >= 0).all() and (self._others.sum(axis=1) > grid.n + 1).all()
+        self.corner_columns = self._corner if settle else None  # state -> column
+        self.interpolated_rows = np.flatnonzero(~(is_corner & settle))  # the rest
 
     def _settle(self, b: np.ndarray, values: np.ndarray):
         """The LP optimum in closed form, or None when the support leaves a choice."""
@@ -207,21 +213,16 @@ class _HullInterpolator:
 
     def value(self, b: np.ndarray, values: np.ndarray) -> float:
         b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
-        key = (values.tobytes(), np.round(b, 12).tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         out = self._settle(b, values)
-        if out is None:
-            res = linprog(-values, A_eq=self._a_eq, b_eq=np.concatenate([b, [1.0]]),
-                          bounds=(0.0, None), method="highs")
-            if res.status != 0:
-                raise CoverageError(b, f"belief with support {np.count_nonzero(b)} of {b.size} "
-                                    f"states is outside the hull of grid "
-                                    f"{self.grid.descriptor!r} ({len(self.grid)} points)")
-            out = float(-res.fun)
-        self._cache[key] = out
-        return out
+        if out is not None:
+            return out
+        res = linprog(-values, A_eq=self._a_eq, b_eq=np.concatenate([b, [1.0]]),
+                      bounds=(0.0, None), method="highs")
+        if res.status != 0:
+            raise CoverageError(b, f"belief with support {np.count_nonzero(b)} of {b.size} "
+                                f"states is outside the hull of grid "
+                                f"{self.grid.descriptor!r} ({len(self.grid)} points)")
+        return float(-res.fun)
 
 
 @dataclass
@@ -260,21 +261,31 @@ def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
 
 
 def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
-    """Backward recursion restricted to grid points.
-
-    Raises CoverageError (naming the grid and the belief's support size) if
-    some branch belief leaves the grid's convex hull; including all corners in
-    the grid rules that out.
+    """Backward recursion restricted to grid points. When each state has one
+    corner and every other point more than N + 1 support states (the
+    interpolator's ``corner_columns``), every corner child settles in closed
+    form, so the corner rows of each (t, q) table come from one
+    :func:`exact_backup` of the stage-(t+1) corner values, a full-information
+    backup, and only the other points are interpolated; otherwise every point
+    is. The interpolator keeps no memo. Raises CoverageError (naming the grid
+    and the belief's support size) if some branch belief leaves the grid's
+    convex hull; including all corners in the grid rules that out.
     """
     _check_grid(cfg, grid)
     c = infection_counts(cfg.n)
     interp = _HullInterpolator(grid)
     pts = grid.matrix()
+    corners = interp.corner_columns
 
     def backup(nxt, g, q):  # stage-(t+1) grid values nxt, interpolated at each child
         branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
         vals = np.empty(len(grid))
-        for r, bf in enumerate(grid.points):
+        if corners is not None:  # the sets' stage label, t=0, is never read
+            sets = {q_next: AlphaSet(nxt[q_next][corners][None], [0], t=0, quarantine=q_next)
+                    for bs in branch_sets.values() for _, q_next, _ in bs}
+            vals[corners] = exact_backup(sets, g, q, cfg.p, cfg.lam).values.min(axis=0)
+        for r in interp.interpolated_rows:
+            bf = grid.points[r]
             _, best = one_step_min(
                 cfg.n, q, cfg.lam,
                 lambda u: _branch_children(bf, u, branch_sets[u], cfg.n),
@@ -305,7 +316,7 @@ class GapRow:
 
     @property
     def tight(self) -> bool:
-        return self.gap < GAP_TIGHT
+        return self.gap < BRACKET_TOL
 
 
 @dataclass
@@ -318,15 +329,10 @@ class SandwichResult:
     violations: list  # rows where lower exceeded upper beyond tolerance
 
 
-def sandwich(
-    cfg: ScenarioConfig,
-    grid: BeliefGrid,
-    probes: Sequence[Belief],
-    tol: float = 1e-9,
-) -> SandwichResult:
+def sandwich(cfg: ScenarioConfig, grid: BeliefGrid, probes: Sequence[Belief]) -> SandwichResult:
     """Compute both bounds and evaluate them at every probe and stage.
 
-    Rows where the lower bound exceeds the upper beyond tolerance land in
+    Rows where the lower bound exceeds the upper beyond BRACKET_TOL land in
     ``violations``; by construction that list should stay empty, and a
     non-empty one signals an internal inconsistency to the caller.
     """
@@ -338,6 +344,6 @@ def sandwich(
         for pi, b in enumerate(probes):
             row = GapRow(t, pi, lb.value(t, b), ub.value(t, b))
             rows.append(row)
-            if row.lower > row.upper + tol:
+            if row.lower > row.upper + BRACKET_TOL:
                 violations.append(row)
     return SandwichResult(ub, lb, rows, violations)

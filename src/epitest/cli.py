@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import BeliefGrid, approx_solve_lower, approx_solve_upper
+from .approx import BRACKET_TOL, BeliefGrid, approx_solve_lower, approx_solve_upper
 from .errors import (
     CoverageError,
     InternalInconsistency,
@@ -144,7 +144,7 @@ def cmd_solve_approx(args) -> int:
     lb = approx_solve_lower(cfg, grid)
     b0 = cfg.initial_belief
     lo, hi = lb.value(1, b0), ub.value(1, b0)
-    if lo > hi + 1e-9:
+    if lo > hi + BRACKET_TOL:
         raise InternalInconsistency(f"lower bound {lo} exceeds upper bound {hi}")
     print(f"bounds at initial belief: [{lo:.12g}, {hi:.12g}] gap={hi - lo:.12g} "
           f"grid={grid.descriptor}")

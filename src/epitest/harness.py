@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .approx import nested_grid_ladder, sandwich
+from .approx import BRACKET_TOL, nested_grid_ladder, sandwich
 from .errors import CoverageError, SizeCapError
 from .oracle import oracle_value
 from .policies import OpenLoopPlan, make_policy
@@ -167,7 +167,7 @@ def run_sandwich_report(cfg: ScenarioConfig, grid_sizes: Sequence[int], probe_co
             if (row.t, row.probe) in violated:
                 status = "sandwich_violation"
             elif oracle_val is not None and not (
-                row.lower - 1e-9 <= oracle_val <= row.upper + 1e-9
+                row.lower - BRACKET_TOL <= oracle_val <= row.upper + BRACKET_TOL
             ):
                 status = "oracle_outside"
             rows.append(

@@ -347,26 +347,20 @@ class GreedyStageValue:
 # ---------------------------------------------------------------------------
 
 
-def policy_tree_value(
-    cfg: ScenarioConfig,
-    policy,
-    b0,
-    q: Quarantine = EMPTY_QUARANTINE,
-    t: int = 1,
-    node_cap: int = 2_000_000,
-) -> float:
+def policy_tree_value(cfg: ScenarioConfig, policy, b0, q: Quarantine = EMPTY_QUARANTINE,
+                      t: int = 1) -> float:
     """Exact expected cost of a deterministic policy from stage t.
 
     Expands the reachable belief tree with the policy's action fixed at each
-    node. The policy must not consume randomness (all bundled policies
-    except the random baseline qualify).
+    node, up to the oracle's node cap. The policy must not consume randomness
+    (all bundled policies except the random baseline qualify).
     """
 
     def action_fn(tt, bb, qq):
         return policy(PolicyContext(cfg, tt, Belief.from_dense(bb, cfg.n), qq))
 
     b0 = as_dense(b0, 1 << cfg.n)
-    return tree_value(cfg, b0, q, t, action_fn=action_fn, node_cap=node_cap)
+    return tree_value(cfg, b0, q, t, action_fn=action_fn)
 
 
 @dataclass
@@ -405,12 +399,11 @@ class LookaheadReport:
         return all(r.passed for r in self.conclusion)
 
 
-def check_lookahead_assumption(
-    surrogate: StageValue,
-    cfg: ScenarioConfig,
-    probes: Sequence[Belief],
-    tol: float = 1e-9,
-) -> LookaheadReport:
+LOOKAHEAD_TOL = 1e-9  # slack of both checks in check_lookahead_assumption
+
+
+def check_lookahead_assumption(surrogate: StageValue, cfg: ScenarioConfig,
+                               probes: Sequence[Belief]) -> LookaheadReport:
     """Verify, probe by probe, that the surrogate dominates its own Bellman
     update; where it does at every stage, also verify that the look-ahead
     policy built from the surrogate meets the implied cost bound.
@@ -433,7 +426,7 @@ def check_lookahead_assumption(
                 _, qval = one_step_argmin(surrogate, PolicyContext(cfg, t, b, q0))
                 rhs = stage_cost_term + qval
             rhs_cache[(t, pi)] = rhs
-            assumption.append(AssumptionRecord(t, pi, lhs, rhs, lhs >= rhs - tol))
+            assumption.append(AssumptionRecord(t, pi, lhs, rhs, lhs >= rhs - LOOKAHEAD_TOL))
 
     la_policy = OneStepPolicy(surrogate)
     conclusion = []
@@ -443,7 +436,7 @@ def check_lookahead_assumption(
         for t in range(1, T + 1):
             cost = policy_tree_value(cfg, la_policy, b, q0, t)
             bound = rhs_cache[(t, pi)]
-            conclusion.append(ConclusionRecord(t, pi, cost, bound, cost <= bound + tol))
+            conclusion.append(ConclusionRecord(t, pi, cost, bound, cost <= bound + LOOKAHEAD_TOL))
     return LookaheadReport(assumption, conclusion)
 
 

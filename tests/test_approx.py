@@ -15,18 +15,20 @@ from epitest.approx import (
 )
 from epitest.beliefs import Belief
 from epitest.errors import CoverageError, SizeCapError, ValidationError
-from epitest.exact import AlphaSet, evaluate, solve
+from epitest.exact import AlphaSet, _backward_induction, _reachable_quarantines, evaluate, solve
 from epitest.model import (
     ContactGraph,
     ContactSchedule,
     branches,
     candidate_actions,
     infection_counts,
+    one_step_min,
 )
 from epitest.oracle import oracle_value
 from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import ScenarioConfig
 
+from _child import peak_rss_mib
 from _scenarios import random_beliefs, random_scenario
 
 EMPTY = frozenset()
@@ -64,8 +66,9 @@ class TestGrids:
         assert np.array_equal(g2.matrix(), g4.matrix()[: len(g2)])
 
     def test_dimension_check(self):
-        with pytest.raises(ValidationError):
-            BeliefGrid(2, [np.ones(3) / 3], "bad")
+        message = r"grid point 1 has 3 entries, expected 2\*\*2 = 4"
+        with pytest.raises(ValidationError, match=message):
+            BeliefGrid(2, [np.full(4, 0.25), np.ones(3) / 3], "bad")
 
     def test_rejects_points_whose_mass_is_not_one(self):
         with pytest.raises(ValidationError, match="grid point 0 has mass 2.0"):
@@ -138,6 +141,14 @@ class TestUpperBound:
             for bound in (approx_solve_upper, approx_solve_lower):
                 with pytest.raises(SizeCapError, match=f"got {n}"):
                     bound(cfg, grid)
+
+
+def test_grid_of_another_size_is_refused_with_both_sizes():
+    cfg = scenario_c()
+    for bound in (approx_solve_upper, approx_solve_lower):
+        with pytest.raises(ValidationError,
+                           match="grid dimension N = 3 does not match the scenario's N = 2"):
+            bound(cfg, BeliefGrid.corners(3))
 
 
 class TestLowerBound:
@@ -268,6 +279,94 @@ class TestHullInterpolator:
         assert settled.tables.keys() == plain.tables.keys()
         for key, vals in plain.tables.items():
             assert np.allclose(settled.tables[key], vals, rtol=0.0, atol=1e-12)
+
+
+def per_point_tables(cfg, grid):
+    """The lower bound's tables with every row, corners included, from the
+    per-point loop: one_step_min over the branch children, interpolated."""
+    c = infection_counts(cfg.n)
+    interp = _HullInterpolator(grid)
+
+    def backup(nxt, g, q):
+        vals = []
+        for bf in grid.points:
+            _, best = one_step_min(
+                cfg.n, q, cfg.lam,
+                lambda u: _branch_children(bf, u, branches(g, q, u, cfg.p), cfg.n),
+                lambda child, q_next: interp.value(child, nxt[q_next]),
+            )
+            vals.append(float(bf @ c) + best)
+        return np.array(vals)
+
+    return _backward_induction(cfg, lambda q: grid.matrix() @ c, backup)
+
+
+class TestCornerRows:
+    """Corner rows come from one full-information backup per (t, q) exactly
+    when every corner child settles in closed form, and every table matches
+    the per-point loop either way."""
+
+    LADDERS = [nested_grid_ladder(n, [3], seed=60 + n)[0] for n in range(2, 7)]
+    LOOP_ONLY = [nested_grid_ladder(1, [2], seed=61)[0], BeliefGrid.regular(2, 2),
+                 duplicated_corner_grid(3, 6)]
+    CASES = [(g, True) for g in LADDERS] + [(g, False) for g in LOOP_ONLY]
+
+    @pytest.mark.parametrize("grid, from_backup", CASES,
+                             ids=[f"n{g.n}-{g.descriptor}" for g, _ in CASES])
+    def test_tables_match_the_per_point_loop(self, grid, from_backup, monkeypatch):
+        rng = np.random.default_rng(70 + grid.n)
+        cfg = (config(1, 3, 0.5, 0.3, []) if grid.n == 1
+               else random_scenario(grid.n, 3, 0.5, 0.3, rng, per_step=True))
+        calls = []
+        real = approx.exact_backup
+        monkeypatch.setattr(approx, "exact_backup", lambda *args: calls.append(1) or real(*args))
+        lb = approx_solve_lower(cfg, grid)
+        assert (_HullInterpolator(grid).corner_columns is not None) == from_backup
+        assert len(calls) == (len(lb.tables) - len(_reachable_quarantines(cfg.n, cfg.horizon - 1))
+                              if from_backup else 0)  # one per (t, q) below the horizon
+        reference = per_point_tables(cfg, grid)
+        assert lb.tables.keys() == reference.keys()
+        for key, vals in reference.items():
+            np.testing.assert_allclose(lb.tables[key], vals, rtol=0.0, atol=1e-12, err_msg=key)
+
+    def test_interpolator_keeps_no_state_across_calls(self):
+        grid = self.LADDERS[1]
+        interp = _HullInterpolator(grid)
+        before = dict(vars(interp))
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 3.0, size=len(grid))
+        for b in beliefs_for(grid, rng) * 2:
+            interp.value(b, values)
+        assert vars(interp).keys() == before.keys()
+        assert all(vars(interp)[k] is v for k, v in before.items())
+
+
+LOWER_BOUND_RING8 = """
+    import numpy as np
+    from epitest.approx import approx_solve_lower, nested_grid_ladder
+    from epitest.beliefs import Belief
+    from epitest.model import ContactGraph, ContactSchedule
+    from epitest.scenario import ScenarioConfig
+
+    n, horizon = 8, 4
+    edges = {tuple(sorted((i, i % n + 1))): 1.0 for i in range(1, n + 1)}
+    rng = np.random.default_rng(1)
+    for _ in range(n):
+        a, b = sorted(int(v) for v in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        edges.setdefault((a, b), 0.5)
+    g = ContactGraph.from_edges(n, [(a, b, w) for (a, b), w in edges.items()])
+    schedule = ContactSchedule.static(horizon, g)
+    cfg = ScenarioConfig(n, horizon, 0.5, 0.3, schedule, Belief.uniform(n), 0)
+    approx_solve_lower(cfg, nested_grid_ladder(n, [8], 601)[0])
+    """
+
+
+def test_ring8_lower_bound_memory():
+    """The ring-8 T=4 lower bound on its 2**8 corners plus 8 random points,
+    in a child process limited to 3 GB of address space: with no memo, and
+    the corner rows from one backup per (t, q), it stays under 160 MiB."""
+    peak_mib = peak_rss_mib(LOWER_BOUND_RING8)
+    assert peak_mib < 160, peak_mib
 
 
 class TestLpSolveCount:

@@ -2,18 +2,13 @@
 its face operator against its whole-space rows, its byte-bounded cache, and
 memory guards for policy episodes at N = 10 and 12."""
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from epitest.model import ContactGraph, Dynamics, _DynamicsCache
 from epitest.oracle import predict_dense
 
+from _child import peak_rss_mib
 from _reference import step_distribution
 
 TOL = 1e-12
@@ -129,12 +124,8 @@ def test_cache_stays_under_its_byte_bound():
     np.testing.assert_allclose(first.back(np.ones(64)), np.ones(64), rtol=0, atol=TOL)
 
 
-GUARD = textwrap.dedent(
-    """
-    import resource
+IMPROVED_EPISODE = """
     import sys
-    limit = 3 * 10**9
-    resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
     import numpy as np
     from epitest.beliefs import Belief
@@ -154,23 +145,13 @@ GUARD = textwrap.dedent(
     prior = {0: 0.5, **{1 << k: 0.5 / n for k in range(n)}}
     cfg = ScenarioConfig(n, n, 0.5, 0.3, ContactSchedule.static(n, g), Belief(n, prior), 0)
     run_episode(cfg, make_policy("improved", cfg), 0)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """
-)
 
 
 def improved_episode_peak_mib(n: int) -> float:
     """Peak RSS of one ring-n improved episode, run in a child process
     limited to 3 GB of address space."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", GUARD, str(n)], env=env, capture_output=True, text=True,
-        timeout=300,
-    )
-    assert out.returncode == 0, out.stderr[-2000:]
-    return int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    return peak_rss_mib(IMPROVED_EPISODE, n)
 
 
 def test_ring10_improved_episode_memory():
