@@ -6,8 +6,12 @@ pointwise minimum, and the Bellman operator preserves that ordering, so the
 result dominates the true value function everywhere. The lower bound runs
 the backward recursion on grid values only, evaluating next-stage values by
 convex-combination interpolation; concavity puts any such interpolant below
-the true function. Together they sandwich the exact value function, and the
-per-probe gap is the accuracy certificate of the pair.
+the true function. Where no grid value of a next-stage table lies above the
+plane through its corner values, that plane is feasible for every
+interpolation LP's dual, so by weak duality it is the interpolant and the
+backup is an exact alpha backup (Hauskrecht, JAIR 2000). Together they
+sandwich the exact value function, and the per-probe gap is the accuracy
+certificate of the pair.
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ class BeliefGrid:
             if len(pt) != size:
                 raise ValidationError(f"grid point {k} has {len(pt)} entries, "
                                       f"expected 2**{self.n} = {size}")
-            if not np.all(np.isfinite(pt) & (np.asarray(pt) >= 0.0)):
-                raise ValidationError(f"grid point {k} has a negative or non-finite entry")
+            bad = np.flatnonzero(~(np.isfinite(pt) & (np.asarray(pt) >= 0.0)))
+            if len(bad):
+                raise ValidationError(f"grid point {k} has a negative or non-finite entry: "
+                                      f"state {bad[0]} holds {pt[bad[0]]}")
             if abs(np.sum(pt) - 1.0) > SUM_TOLERANCE:
                 raise ValidationError(f"grid point {k} has mass {np.sum(pt)}, expected 1")
 
@@ -182,12 +188,17 @@ class _HullInterpolator:
     full support, so every belief with a zero coordinate (test-outcome
     branches, children of corners) is settled this way; anything else, and
     any belief that is not a distribution, goes to the LP.
+
+    Flat rule (:meth:`flat`): if no grid value lies above the plane through
+    the corner values v_c, (v_c, 0) is feasible for the dual, min y.b + z with
+    y.g_j + z >= v_j, and mu = b on the corners meets it: the plane is optimal.
     """
 
     def __init__(self, grid: BeliefGrid):
         self.grid = grid
         pts = grid.matrix()
         self._a_eq = np.vstack([pts.T, np.ones(len(grid))])
+        self.points = pts
         is_corner = (pts.max(axis=1) == 1.0) & (np.count_nonzero(pts, axis=1) == 1)
         states = pts[is_corner].argmax(axis=1)
         self._corner = np.full(pts.shape[1], -1)  # state -> corner column
@@ -199,6 +210,12 @@ class _HullInterpolator:
         settle = (self._corner >= 0).all() and (self._others.sum(axis=1) > grid.n + 1).all()
         self.corner_columns = self._corner if settle else None  # state -> column
         self.interpolated_rows = np.flatnonzero(~(is_corner & settle))  # the rest
+
+    def flat(self, values: np.ndarray) -> bool:
+        """The flat rule: ``corner_columns`` is set and no grid value lies
+        above the plane through the corner values (an exact ``<=``)."""
+        cols = self.corner_columns
+        return cols is not None and bool((values <= self.points @ values[cols]).all())
 
     def _settle(self, b: np.ndarray, values: np.ndarray):
         """The LP optimum in closed form, or None when the support leaves a choice."""
@@ -267,14 +284,17 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
     form, so the corner rows of each (t, q) table come from one
     :func:`exact_backup` of the stage-(t+1) corner values, a full-information
     backup, and only the other points are interpolated; otherwise every point
-    is. The interpolator keeps no memo. Raises CoverageError (naming the grid
-    and the belief's support size) if some branch belief leaves the grid's
-    convex hull; including all corners in the grid rules that out.
+    is. When every next table the backup reaches is flat (no grid value above
+    its corner plane), weak duality makes each interpolant that plane, so each
+    row is its best backed-up vector and no LP is solved; terminal tables are
+    always flat. The interpolator keeps no memo. Raises CoverageError (naming
+    the grid and the belief's support size) if some branch belief leaves the
+    grid's convex hull; including all corners in the grid rules that out.
     """
     _check_grid(cfg, grid)
     c = infection_counts(cfg.n)
     interp = _HullInterpolator(grid)
-    pts = grid.matrix()
+    pts = interp.points
     corners = interp.corner_columns
 
     def backup(nxt, g, q):  # stage-(t+1) grid values nxt, interpolated at each child
@@ -283,7 +303,9 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
         if corners is not None:  # the sets' stage label, t=0, is never read
             sets = {q_next: AlphaSet(nxt[q_next][corners][None], [0], t=0, quarantine=q_next)
                     for bs in branch_sets.values() for _, q_next, _ in bs}
-            vals[corners] = exact_backup(sets, g, q, cfg.p, cfg.lam).values.min(axis=0)
+            vals = (pts @ exact_backup(sets, g, q, cfg.p, cfg.lam).values.T).min(axis=1)
+            if all(interp.flat(nxt[q_next]) for q_next in sets):
+                return vals  # every child's interpolant is its corner plane
         for r in interp.interpolated_rows:
             bf = grid.points[r]
             _, best = one_step_min(

@@ -195,7 +195,7 @@ def cmd_sandwich(args) -> int:
     print(f"written: {Path(args.out_dir) / 'sandwich.csv'}")
     if bad:
         raise InternalInconsistency(
-            f"{len(bad)} rows violate the bound ordering (see sandwich.csv)"
+            f"{len(bad)} rows violate the bound ordering (see sandwich.csv), first {bad[0]}"
         )
     return EXIT_OK
 

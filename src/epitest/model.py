@@ -166,7 +166,7 @@ class ContactSchedule:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if len(self.graphs) != self.horizon:
             raise ValidationError(
                 f"schedule length {len(self.graphs)} does not match horizon {self.horizon}"

@@ -103,7 +103,8 @@ def one_step_argmin(surrogate: StageValue, ctx: PolicyContext):
     """
     cfg, b, q, t = ctx.cfg, ctx.belief, ctx.quarantine, ctx.t
     if t >= cfg.horizon:
-        raise ValidationError("one-step minimization undefined at the terminal stage")
+        raise ValidationError(f"one-step minimization undefined at the terminal stage: "
+                              f"t = {t}, horizon {cfg.horizon}")
     g = ctx.graph
     return one_step_min(
         cfg.n, q, cfg.lam,

@@ -185,7 +185,7 @@ def load_scenario(path) -> ScenarioConfig:
     that cannot be read and on any schema or invariant violation."""
     try:
         with open(path, "rb") as fh:  # bytes: PyYAML reports a bad encoding itself
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ValidationError(f"cannot read scenario file {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:

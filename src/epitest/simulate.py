@@ -234,7 +234,8 @@ def paired_difference(costs_a: np.ndarray, costs_b: np.ndarray):
 
     Zero spread (identical runs) reports a zero standard error."""
     if len(costs_a) != len(costs_b):
-        raise ValidationError("paired comparison needs equal run counts")
+        raise ValidationError(f"paired comparison needs equal run counts, "
+                              f"got {len(costs_a)} and {len(costs_b)}")
     diff = np.asarray(costs_a, dtype=float) - np.asarray(costs_b, dtype=float)
     se = float(np.std(diff, ddof=1) / np.sqrt(len(diff))) if len(diff) > 1 else 0.0
     return float(diff.mean()), se

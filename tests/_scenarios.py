@@ -43,10 +43,11 @@ def random_scenario(n, horizon, p, lam, rng, per_step=False):
     return ScenarioConfig(n, horizon, p, lam, schedule, Belief.uniform(n), 0)
 
 
-def ring_scenario(n, lam, chord_seed=3):
+def ring_scenario(n, lam, chord_seed=3, horizon=None):
     """The ring 1-2-...-n-1 at weight 1 plus up to n seeded chords of weight
-    0.5, horizon n, p = 0.5, from 0.5 on all-healthy and 0.5/n on each
-    single index case."""
+    0.5, horizon n unless given, p = 0.5, from 0.5 on all-healthy and 0.5/n
+    on each single index case."""
+    horizon = horizon or n
     edges = {(i, i + 1) if i < n else (1, n): 1.0 for i in range(1, n + 1)}
     rng = np.random.default_rng(chord_seed)
     for _ in range(n):
@@ -54,4 +55,5 @@ def ring_scenario(n, lam, chord_seed=3):
         edges.setdefault((a, b), 0.5)
     g = ContactGraph.from_edges(n, [(a, b, w) for (a, b), w in edges.items()])
     prior = {0: 0.5, **{1 << k: 0.5 / n for k in range(n)}}
-    return ScenarioConfig(n, n, 0.5, lam, ContactSchedule.static(n, g), Belief(n, prior), 0)
+    return ScenarioConfig(n, horizon, 0.5, lam, ContactSchedule.static(horizon, g),
+                          Belief(n, prior), 0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -29,7 +31,7 @@ from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import ScenarioConfig
 
 from _child import peak_rss_mib
-from _scenarios import random_beliefs, random_scenario
+from _scenarios import random_beliefs, random_scenario, ring_scenario
 
 EMPTY = frozenset()
 
@@ -77,9 +79,12 @@ class TestGrids:
             BeliefGrid(1, [[1.0, 0.0], [0.0, 0.9]], "x")
         BeliefGrid(1, [[1.0, 0.0], [0.5, 0.5 + 0.5e-9]], "x")  # within SUM_TOLERANCE
 
-    @pytest.mark.parametrize("bad", [-0.25, float("nan"), float("inf")])
-    def test_rejects_negative_and_non_finite_entries(self, bad):
-        with pytest.raises(ValidationError, match="grid point 1"):
+    @pytest.mark.parametrize("bad, named", [
+        (-0.25, "state 1 holds -0.25"), (float("nan"), "state 0 holds nan"),
+        (float("inf"), "state 0 holds -inf"),
+    ], ids=["-0.25", "nan", "inf"])
+    def test_rejects_negative_and_non_finite_entries(self, bad, named):
+        with pytest.raises(ValidationError, match=f"grid point 1 .*: {named}$"):
             BeliefGrid(1, [np.array([1.0, 0.0]), np.array([1.0 - bad, bad])], "bad")
 
 
@@ -341,6 +346,65 @@ class TestCornerRows:
         assert all(vars(interp)[k] is v for k, v in before.items())
 
 
+class TestFlatTables:
+    """A backup whose next-stage tables all lie on their corner planes is one
+    alpha backup: it builds no branch children and solves no LP."""
+
+    CFG = ring_scenario(5, 0.3, chord_seed=1, horizon=4)
+    GRID = nested_grid_ladder(5, [8], 601)[0]
+
+    @pytest.fixture
+    def per_stage(self, monkeypatch):
+        """{stage: [LPs, _branch_children calls]} over the backups of a sweep."""
+        counts, stage = {}, [None]
+
+        def counting(i, real):
+            def wrapped(*args, **kwargs):
+                counts.setdefault(stage[0], [0, 0])[i] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        def staged(real):
+            def sweep(cfg, terminal, backup):
+                def at_stage(nxt, g, q):
+                    stage[0] = max(map(len, nxt))  # stage t + 1 holds sets of size <= t
+                    return backup(nxt, g, q)
+                return real(cfg, terminal, at_stage)
+            return sweep
+
+        monkeypatch.setattr(approx, "linprog", counting(0, approx.linprog))
+        monkeypatch.setattr(approx, "_branch_children", counting(1, approx._branch_children))
+        monkeypatch.setattr(approx, "_backward_induction", staged(approx._backward_induction))
+        return counts
+
+    def test_last_backups_solve_no_lp(self, per_stage):
+        approx_solve_lower(self.CFG, self.GRID)
+        # stages 1 to T - 2 interpolate; stage T - 1 reads only terminal tables
+        assert sorted(per_stage) == list(range(1, self.CFG.horizon - 1))
+        assert all(lps > 0 and children > 0 for lps, children in per_stage.values())
+
+    def test_linear_value_solves_no_lp(self, per_stage):
+        # p = 0 and lambda = 0: nothing spreads and tests are free, so every
+        # table is linear
+        approx_solve_lower(replace(self.CFG, p=0.0, lam=0.0), self.GRID)
+        assert per_stage == {}
+
+    def test_flatness_check_is_exact(self, per_stage, monkeypatch):
+        interp = _HullInterpolator(self.GRID)
+        last = interp.points @ infection_counts(self.CFG.n)  # a terminal table
+        assert interp.flat(last)
+        raised = last.copy()
+        raised[-1] += 1e-9  # the last point is interior
+        assert not interp.flat(raised)
+        assert not _HullInterpolator(BeliefGrid.regular(2, 2)).flat(np.zeros(10))
+
+        sweep = approx._backward_induction
+        monkeypatch.setattr(approx, "_backward_induction", lambda cfg, terminal, backup: sweep(
+            cfg, lambda q: raised if q == EMPTY else terminal(q), backup))
+        approx_solve_lower(self.CFG, self.GRID)
+        assert per_stage[self.CFG.horizon - 1][0] > 0  # the backup at q = {} interpolates
+
+
 LOWER_BOUND_RING8 = """
     import numpy as np
     from epitest.approx import approx_solve_lower, nested_grid_ladder
@@ -415,7 +479,10 @@ class TestSandwich:
         (4, 3, 0.0, 0.5, False, 32),
         (5, 3, 0.6, 0.3, True, 33),
         (5, 4, 0.5, 0.0, False, 34),
-    ], ids=["n4-p1-free-tests-schedule", "n4-p0-static", "n5-schedule", "n5-free-tests"])
+        (6, 4, 0.5, 0.3, True, 35),
+        (6, 4, 0.0, 0.0, False, 36),
+    ], ids=["n4-p1-free-tests-schedule", "n4-p0-static", "n5-schedule", "n5-free-tests",
+            "n6-schedule", "n6-p0-free-tests-linear"])
     def test_oracle_between_bounds_on_random_scenarios(self, n, horizon, p, lam, per_step, seed):
         """All three solvers of the shared backward sweep against the oracle:
         lower <= oracle == exact <= upper at every probe and stage."""

@@ -5,9 +5,14 @@ import json
 import pytest
 import yaml
 
+from epitest import cli
 from epitest.cli import main
 from epitest.exact import load_value_function, solve
+from epitest.harness import SandwichReportRow
 from epitest.presets import scenario_a
+from epitest.scenario import dump_scenario
+
+from _scenarios import ring_scenario
 
 
 def scenario_path(scenario_dir, name="scenario_a.yaml"):
@@ -133,6 +138,28 @@ class TestSandwich:
         assert main(["sandwich", "--scenario", scenario_path(scenario_dir, name),
                      "--seed-override", "601", "--out-dir", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "sandwich.csv").read_bytes()).hexdigest() == digest
+
+    def test_inconsistency_names_the_first_bad_row(self, scenario_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        rows = [SandwichReportRow(2, 1, 0, 1.0, 2.0, 1.5, "ok"),
+                SandwichReportRow(4, 3, 7, 1.25, 1.5, 1.75, "oracle_outside"),
+                SandwichReportRow(8, 2, 1, 2.0, 1.0, None, "sandwich_violation")]
+        monkeypatch.setattr(cli, "run_sandwich_report", lambda cfg, sizes, probes: rows)
+        assert main(["sandwich", "--scenario", scenario_path(scenario_dir),
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_INCONSISTENT
+        assert ("2 rows violate the bound ordering (see sandwich.csv), first "
+                "SandwichReportRow(R=4, stage=3, probe=7, lower=1.25, upper=1.5, oracle=1.75, "
+                "status='oracle_outside')" in capsys.readouterr().err)
+
+    def test_ring5_output_bytes_pinned(self, tmp_path):
+        # the benchmark's sandwich-ring op: ring-5 T=4 with chords from
+        # fixture seed 1, base seed 601, grid sizes 2,4,8 and 10 probes
+        scenario = tmp_path / "ring5.yaml"
+        dump_scenario(ring_scenario(5, 0.3, chord_seed=1, horizon=4).with_seed(601), scenario)
+        assert main(["sandwich", "--scenario", str(scenario), "--grid-sizes", "2,4,8",
+                     "--probes", "10", "--out-dir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "sandwich.csv").read_bytes()).hexdigest() == (
+            "bda56f981061d31d28ee6fab82421963375730bc1831e9ac9117bcb1f31c2cb1")
 
 
 class TestTrace:

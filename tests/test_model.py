@@ -77,6 +77,8 @@ class TestGraphs:
             ContactSchedule(2, (g2,))
         with pytest.raises(ValidationError):
             ContactSchedule(2, (g2, g3))
+        with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
+            ContactSchedule(0, ())
         sched = ContactSchedule.static(3, g2)
         assert sched.graph_at(2) is g2
         with pytest.raises(ValidationError):

@@ -521,3 +521,8 @@ class TestCertainOutcome:
         ctx = ctx_at(cfg, 1, b)
         _, qval = one_step_argmin(vf, ctx)
         assert expected_infections(b) + qval == pytest.approx(vf.value(1, b), abs=1e-9)
+
+    def test_terminal_stage_error_names_the_stage(self):
+        cfg, b = self.certain_carrier()
+        with pytest.raises(ValidationError, match=f"t = {cfg.horizon}, horizon {cfg.horizon}"):
+            one_step_argmin(solve(cfg), ctx_at(cfg, cfg.horizon, b))

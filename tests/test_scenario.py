@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from epitest.beliefs import Belief
 from epitest.errors import ValidationError
@@ -11,6 +12,8 @@ from epitest.scenario import (
     scenario_from_dict,
     state_from_bitstring,
 )
+
+from _scenarios import ring_scenario
 
 
 def base_doc():
@@ -115,3 +118,12 @@ class TestConfig:
     def test_bundled_files_match_presets(self, scenario_dir):
         for name, cfg in tiny_scenarios().items():
             assert load_scenario(scenario_dir / f"{name}.yaml").digest() == cfg.digest()
+
+    def test_libyaml_loader_reads_what_the_python_loader_reads(self, scenario_dir, tmp_path):
+        ring9 = tmp_path / "ring9.yaml"
+        dump_scenario(ring_scenario(9, 0.01), ring9)
+        paths = sorted(scenario_dir.iterdir()) + [ring9]
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # as load_scenario picks it
+        for path in paths:
+            text = path.read_bytes()
+            assert yaml.load(text, Loader=loader) == yaml.safe_load(text), path

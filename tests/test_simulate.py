@@ -104,6 +104,8 @@ class TestMonteCarlo:
         assert np.array_equal(a.costs, b.costs)
         mean, se = paired_difference(a.costs, b.costs)
         assert mean == 0.0 and se == 0.0
+        with pytest.raises(ValidationError, match="equal run counts, got 50 and 49"):
+            paired_difference(a.costs, b.costs[:-1])
 
     def test_digest_is_computed_once(self, monkeypatch):
         calls = []
