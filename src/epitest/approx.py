@@ -5,13 +5,13 @@ that win at R chosen belief points; shrinking a min-set can only raise the
 pointwise minimum, and the Bellman operator preserves that ordering, so the
 result dominates the true value function everywhere. The lower bound runs
 the backward recursion on grid values only, evaluating next-stage values by
-convex-combination interpolation; concavity puts any such interpolant below
-the true function. Where no grid value of a next-stage table lies above the
-plane through its corner values, that plane is feasible for every
-interpolation LP's dual, so by weak duality it is the interpolant and the
-backup is an exact alpha backup (Hauskrecht, JAIR 2000). Together they
-sandwich the exact value function, and the per-probe gap is the accuracy
-certificate of the pair.
+convex-combination interpolation (Lovejoy, Operations Research 1991), which
+concavity puts below the true function. With the grid's corners implicit, a
+belief b is worth b.v_c, the plane through the corner values, plus at most
+one LP over the interior points above that plane; a backup whose next-stage
+tables lie on or below their corner planes is an exact alpha backup
+(Hauskrecht, JAIR 2000). Together the bounds sandwich the exact value
+function, and the per-probe gap is the accuracy certificate of the pair.
 """
 
 from __future__ import annotations
@@ -176,70 +176,77 @@ def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
 class _HullInterpolator:
     """Best certified value of a belief as a convex combination of grid points.
 
-    Solves max sum(mu * v) over mu >= 0 with grid^T mu = b, sum mu = 1; any
-    feasible mu certifies a lower bound (concavity), and the maximum is the
-    tightest certificate the grid can give. Infeasibility means the belief
-    lies outside the grid's hull.
-
-    Support rule: grid points are nonnegative, so mu_j > 0 only when
-    supp(g_j) is inside supp(b). When the only such points are corners, one
-    per state of supp(b), mu is forced to equal b and the optimum is exactly
-    sum_s b_s v_corner(s), with no LP. Interior points of a random grid have
-    full support, so every belief with a zero coordinate (test-outcome
-    branches, children of corners) is settled this way; anything else, and
-    any belief that is not a distribution, goes to the LP.
-
-    Flat rule (:meth:`flat`): if no grid value lies above the plane through
-    the corner values v_c, (v_c, 0) is feasible for the dual, min y.b + z with
-    y.g_j + z >= v_j, and mu = b on the corners meets it: the plane is optimal.
+    The first point mass on each state is its corner; every other point, a
+    second copy of a corner included, is interior. A corner's weight is b_s
+    minus the interior weights' mass on s, so with corner values v_c (0 where
+    a state has none) and gain_j = v_j - g_j.v_c the value is b.v_c + max
+    gain.mu over mu >= 0, G^T mu <= b on states with a corner and = b on the
+    rest. Only points inside supp(b) can take weight, and where all of supp(b)
+    has corners, only points with gain_j > 0; with none left there is no LP.
+    The LP's mu is clipped to >= 0 and scaled until each corner weight is
+    >= 0, so the value is certified to rounding, not to HiGHS's 1e-7; with
+    equality rows (no CLI verb builds such a grid) the LP's value stands.
     """
 
     def __init__(self, grid: BeliefGrid):
         self.grid = grid
-        pts = grid.matrix()
-        self._a_eq = np.vstack([pts.T, np.ones(len(grid))])
-        self.points = pts
-        is_corner = (pts.max(axis=1) == 1.0) & (np.count_nonzero(pts, axis=1) == 1)
-        states = pts[is_corner].argmax(axis=1)
-        self._corner = np.full(pts.shape[1], -1)  # state -> corner column
-        self._corner[states] = np.flatnonzero(is_corner)
-        self._corner[np.bincount(states, minlength=pts.shape[1]) > 1] = -1  # duplicates
-        self._others = pts[~is_corner] > 0.0  # supports of the non-corner points
-        # A corner's children lie on at most n + 1 states: all of them settle
-        # when each state has one corner and every other point more support.
-        settle = (self._corner >= 0).all() and (self._others.sum(axis=1) > grid.n + 1).all()
-        self.corner_columns = self._corner if settle else None  # state -> column
-        self.interpolated_rows = np.flatnonzero(~(is_corner & settle))  # the rest
+        corner = {}  # state -> grid row of its first point mass
+        for r, pt in enumerate(map(np.asarray, grid.points)):
+            s = int(pt.argmax())
+            if pt[s] == 1.0 and np.count_nonzero(pt) == 1:
+                corner.setdefault(s, r)
+        self.corner_states = np.array(list(corner), dtype=int)
+        self.corner_rows = np.array(list(corner.values()), dtype=int)
+        self.interior_rows = np.setdiff1d(np.arange(len(grid)), self.corner_rows)
+        self.interior = np.reshape([grid.points[r] for r in self.interior_rows], (-1, 1 << grid.n))
+        self.cornered = np.isin(np.arange(1 << grid.n), self.corner_states)
+        # A corner's child has at most n + 1 support states, so no interior point with
+        # more fits it: then, with a corner on every state, corner rows are one backup.
+        self.corner_backup = bool(self.cornered.all() and (
+            np.count_nonzero(self.interior, axis=1) > grid.n + 1).all())
+
+    def split(self, values: np.ndarray):
+        """(corner values v_c by state, the interior points' gains)."""
+        v_c = np.zeros(self.cornered.size)
+        v_c[self.corner_states] = values[self.corner_rows]
+        return v_c, values[self.interior_rows] - self.interior @ v_c
+
+    def plane(self, c: np.ndarray) -> np.ndarray:
+        """Grid values of the pointwise minimum of the planes in the rows of
+        ``c`` (one plane when ``c`` is 1-D); a corner reads c at its state."""
+        c = np.atleast_2d(c)
+        vals = np.empty(len(self.grid))
+        vals[self.corner_rows] = c.min(axis=0)[self.corner_states]
+        vals[self.interior_rows] = (self.interior @ c.T).min(axis=1)
+        return vals
 
     def flat(self, values: np.ndarray) -> bool:
-        """The flat rule: ``corner_columns`` is set and no grid value lies
-        above the plane through the corner values (an exact ``<=``)."""
-        cols = self.corner_columns
-        return cols is not None and bool((values <= self.points @ values[cols]).all())
-
-    def _settle(self, b: np.ndarray, values: np.ndarray):
-        """The LP optimum in closed form, or None when the support leaves a choice."""
-        if (b.shape != self._corner.shape or not b.min() >= 0.0
-                or abs(b.sum() - 1.0) > SUM_TOLERANCE):
-            return None
-        inside = b > 0.0
-        cols = self._corner[inside]
-        if (cols < 0).any() or not self._others[:, ~inside].any(axis=1).all():
-            return None
-        return float(b[inside] @ values[cols])
+        """``corner_backup`` holds and no grid value lies above the plane
+        through the corner values (no gain > 0, an exact comparison)."""
+        return self.corner_backup and not (self.split(values)[1] > 0.0).any()
 
     def value(self, b: np.ndarray, values: np.ndarray) -> float:
         b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
-        out = self._settle(b, values)
-        if out is not None:
-            return out
-        res = linprog(-values, A_eq=self._a_eq, b_eq=np.concatenate([b, [1.0]]),
-                      bounds=(0.0, None), method="highs")
-        if res.status != 0:
-            raise CoverageError(b, f"belief with support {np.count_nonzero(b)} of {b.size} "
-                                f"states is outside the hull of grid "
-                                f"{self.grid.descriptor!r} ({len(self.grid)} points)")
-        return float(-res.fun)
+        if b.shape == self.cornered.shape and b.min() >= 0.0 and abs(b.sum() - 1) <= SUM_TOLERANCE:
+            inside, (v_c, gain) = b > 0.0, self.split(values)
+            eq = ~self.cornered[inside]  # the rows of states with no corner
+            keep = ~self.interior[:, ~inside].any(axis=1) & (eq.any() | (gain > 0.0))
+            g, b_in = self.interior[keep][:, inside].T, b[inside]
+            base = float(b_in @ v_c[inside])
+            if not keep.any() and not eq.any():
+                return base
+            if keep.any():
+                res = linprog(-gain[keep], A_ub=g[~eq], b_ub=b_in[~eq], A_eq=g[eq], b_eq=b_in[eq],
+                              bounds=(0.0, None), method="highs")
+                if res.status == 0 and eq.any():
+                    return base - float(res.fun)
+                if res.status == 0:  # a feasible mu: clipped, then scaled by
+                    mu = np.maximum(res.x, 0.0)  # alpha = min(1, min_s b_s / (G^T mu)_s)
+                    alpha = (b_in / np.maximum(g @ mu, b_in)).min()
+                    return base + float(alpha * (gain[keep] @ mu))
+        raise CoverageError(b, f"belief with support {np.count_nonzero(b)} of {b.size} states "
+                               f"is outside the hull of grid {self.grid.descriptor!r} "
+                               f"({len(self.grid)} points)")
 
 
 @dataclass
@@ -278,35 +285,34 @@ def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
 
 
 def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
-    """Backward recursion restricted to grid points. When each state has one
-    corner and every other point more than N + 1 support states (the
-    interpolator's ``corner_columns``), every corner child settles in closed
-    form, so the corner rows of each (t, q) table come from one
-    :func:`exact_backup` of the stage-(t+1) corner values, a full-information
-    backup, and only the other points are interpolated; otherwise every point
-    is. When every next table the backup reaches is flat (no grid value above
-    its corner plane), weak duality makes each interpolant that plane, so each
-    row is its best backed-up vector and no LP is solved; terminal tables are
-    always flat. The interpolator keeps no memo. Raises CoverageError (naming
-    the grid and the belief's support size) if some branch belief leaves the
-    grid's convex hull; including all corners in the grid rules that out.
+    """Backward recursion restricted to grid points. When the interpolator's
+    ``corner_backup`` holds, every corner child settles as b.v_c, so the
+    corner rows of each (t, q) table are ``a.min(axis=0)`` over the vectors a
+    of one :func:`exact_backup` of the stage-(t+1) corner values, and only
+    the interior rows are interpolated; otherwise every row is. When every
+    next table the backup reaches is also flat, weak duality makes each
+    interpolant its corner plane, so the interior rows are
+    ``(interior @ a.T).min(axis=1)`` and no LP is solved. Terminal tables
+    come from the same :meth:`_HullInterpolator.plane`, so they are flat bit
+    for bit. Raises CoverageError (naming the grid and the belief's support
+    size) if some branch belief leaves the grid's hull; including all
+    corners in the grid rules that out.
     """
     _check_grid(cfg, grid)
     c = infection_counts(cfg.n)
     interp = _HullInterpolator(grid)
-    pts = interp.points
-    corners = interp.corner_columns
 
     def backup(nxt, g, q):  # stage-(t+1) grid values nxt, interpolated at each child
         branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
-        vals = np.empty(len(grid))
-        if corners is not None:  # the sets' stage label, t=0, is never read
-            sets = {q_next: AlphaSet(nxt[q_next][corners][None], [0], t=0, quarantine=q_next)
+        vals, rows = np.empty(len(grid)), range(len(grid))
+        if interp.corner_backup:  # the sets' stage label, t=0, is never read
+            sets = {q_next: AlphaSet(interp.split(nxt[q_next])[0][None], [0], 0, q_next)
                     for bs in branch_sets.values() for _, q_next, _ in bs}
-            vals = (pts @ exact_backup(sets, g, q, cfg.p, cfg.lam).values.T).min(axis=1)
+            vals = interp.plane(exact_backup(sets, g, q, cfg.p, cfg.lam).values)
             if all(interp.flat(nxt[q_next]) for q_next in sets):
                 return vals  # every child's interpolant is its corner plane
-        for r in interp.interpolated_rows:
+            rows = interp.interior_rows
+        for r in rows:
             bf = grid.points[r]
             _, best = one_step_min(
                 cfg.n, q, cfg.lam,
@@ -316,7 +322,7 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
             vals[r] = float(bf @ c) + best
         return vals
 
-    tables = _backward_induction(cfg, lambda q: pts @ c, backup)
+    tables = _backward_induction(cfg, lambda q: interp.plane(c), backup)
     return LowerBound(cfg.n, cfg.horizon, grid, tables, interp)
 
 

@@ -232,6 +232,12 @@ def duplicated_corner_grid(n, seed):
     return BeliefGrid(n, corners + [corners[0].copy()] + interior, "duplicated-corner")
 
 
+def partial_corner_grid(n, seed):
+    """Corners for every state but two, plus seeded interior points."""
+    corners = [pt for s, pt in enumerate(np.eye(1 << n)) if s not in (1, (1 << n) - 2)]
+    return BeliefGrid(n, corners + BeliefGrid.uniform_random(n, 6, seed).points, "partial-corner")
+
+
 class TestHullInterpolator:
     """The interpolator, with its support rule, against the plain LP."""
 
@@ -269,6 +275,28 @@ class TestHullInterpolator:
             with pytest.raises(CoverageError):
                 _HullInterpolator(grid).value(b, np.ones(len(grid)))
 
+    def test_partial_corner_grid_mixes_both_row_kinds(self, monkeypatch):
+        # states with no corner make equality rows, the others <= rows
+        grid = partial_corner_grid(3, seed=7)
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0.0, grid.n, size=len(grid))
+        interp = _HullInterpolator(grid)
+        mixed, real = [], approx.linprog
+        monkeypatch.setattr(approx, "linprog", lambda c, **kwargs: mixed.append(
+            len(kwargs["b_ub"]) > 0 and len(kwargs["b_eq"]) > 0) or real(c, **kwargs))
+        covered = set()
+        for b in beliefs_for(grid, rng):
+            try:
+                expected = reference_hull_value(grid, b, values)
+            except AssertionError:  # the plain LP is infeasible: b is outside the hull
+                with pytest.raises(CoverageError):
+                    interp.value(b, values)
+                covered.add(False)
+            else:
+                assert abs(interp.value(b, values) - expected) <= 1e-12
+                covered.add(True)
+        assert covered == {True, False} and any(mixed)
+
     @pytest.mark.parametrize("b", [[0.5, 0.0, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0]],
                              ids=["half-mass", "negative-entry"])
     def test_non_distribution_is_left_to_the_lp(self, b):
@@ -279,11 +307,46 @@ class TestHullInterpolator:
         cfg = scenario_c()
         grid = BeliefGrid.corners_plus_random(2, 4, seed=1)
         settled = approx_solve_lower(cfg, grid)
-        monkeypatch.setattr(_HullInterpolator, "_settle", lambda self, b, values: None)
+        monkeypatch.setattr(_HullInterpolator, "value",
+                            lambda self, b, values: reference_hull_value(self.grid, b, values))
         plain = approx_solve_lower(cfg, grid)
         assert settled.tables.keys() == plain.tables.keys()
         for key, vals in plain.tables.items():
             assert np.allclose(settled.tables[key], vals, rtol=0.0, atol=1e-12)
+
+
+def test_hull_values_are_certified(monkeypatch):
+    """Every hull value is at most the objective at the LP's weights clipped
+    to >= 0 and scaled until every corner weight is >= 0, which is a convex
+    combination of grid points. ring-7 T=6 is the smallest fixture where
+    HiGHS's own optimum lies above it (by 3.4e-7, in one LP)."""
+    cfg = ring_scenario(7, 0.3, chord_seed=1, horizon=6)
+    grid = nested_grid_ladder(7, [8], 601)[0]  # its corners come first, in state order
+    solved, excess = [], []
+    real_linprog, real_value = approx.linprog, _HullInterpolator.value
+
+    def capturing(c, **kwargs):
+        res = real_linprog(c, **kwargs)
+        solved.append((c, kwargs["A_ub"], kwargs["b_ub"], res.x))
+        return res
+
+    def checking(self, b, values):
+        solved.clear()
+        out = real_value(self, b, values)
+        if solved:
+            (c, a_ub, b_ub, x), = solved
+            mu = np.maximum(x, 0.0)
+            load = a_ub @ mu
+            alpha = min([1.0, *(b_ub[load > 0.0] / load[load > 0.0])])
+            inside = b > 0.0
+            excess.append(out - (b[inside] @ values[: b.size][inside] - alpha * (c @ mu)))
+        return out
+
+    monkeypatch.setattr(approx, "linprog", capturing)
+    monkeypatch.setattr(_HullInterpolator, "value", checking)
+    approx_solve_lower(cfg, grid)
+    assert len(excess) > 500
+    assert max(excess) <= 1e-12, max(excess)
 
 
 def per_point_tables(cfg, grid):
@@ -326,7 +389,7 @@ class TestCornerRows:
         real = approx.exact_backup
         monkeypatch.setattr(approx, "exact_backup", lambda *args: calls.append(1) or real(*args))
         lb = approx_solve_lower(cfg, grid)
-        assert (_HullInterpolator(grid).corner_columns is not None) == from_backup
+        assert _HullInterpolator(grid).corner_backup == from_backup
         assert len(calls) == (len(lb.tables) - len(_reachable_quarantines(cfg.n, cfg.horizon - 1))
                               if from_backup else 0)  # one per (t, q) below the horizon
         reference = per_point_tables(cfg, grid)
@@ -391,7 +454,7 @@ class TestFlatTables:
 
     def test_flatness_check_is_exact(self, per_stage, monkeypatch):
         interp = _HullInterpolator(self.GRID)
-        last = interp.points @ infection_counts(self.CFG.n)  # a terminal table
+        last = interp.plane(infection_counts(self.CFG.n))  # a terminal table
         assert interp.flat(last)
         raised = last.copy()
         raised[-1] += 1e-9  # the last point is interior
@@ -406,13 +469,15 @@ class TestFlatTables:
 
 
 LOWER_BOUND_RING8 = """
+    import sys
+
     import numpy as np
     from epitest.approx import approx_solve_lower, nested_grid_ladder
     from epitest.beliefs import Belief
     from epitest.model import ContactGraph, ContactSchedule
     from epitest.scenario import ScenarioConfig
 
-    n, horizon = 8, 4
+    n, horizon = int(sys.argv[1]), 4
     edges = {tuple(sorted((i, i % n + 1))): 1.0 for i in range(1, n + 1)}
     rng = np.random.default_rng(1)
     for _ in range(n):
@@ -429,8 +494,15 @@ def test_ring8_lower_bound_memory():
     """The ring-8 T=4 lower bound on its 2**8 corners plus 8 random points,
     in a child process limited to 3 GB of address space: with no memo, and
     the corner rows from one backup per (t, q), it stays under 160 MiB."""
-    peak_mib = peak_rss_mib(LOWER_BOUND_RING8)
+    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 8)
     assert peak_mib < 160, peak_mib
+
+
+def test_ring12_lower_bound_memory():
+    """The same at ring-12 T=4, the largest N the bounds admit: the corners
+    stay implicit, so nothing of size 4**N is built beyond the grid itself."""
+    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 12)
+    assert peak_mib < 500, peak_mib
 
 
 class TestLpSolveCount:
@@ -442,7 +514,7 @@ class TestLpSolveCount:
         real = approx.linprog
 
         def counting(c, **kwargs):
-            seen.append(kwargs["b_eq"][:-1].copy())
+            seen.append(len(kwargs["b_ub"]) + len(kwargs["b_eq"]))  # rows: supp(b)
             return real(c, **kwargs)
 
         monkeypatch.setattr(approx, "linprog", counting)
@@ -461,7 +533,7 @@ class TestLpSolveCount:
         sw = sandwich(cfg, BeliefGrid.corners_plus_random(2, 4, seed=1), probe_beliefs(2, 8))
         assert not sw.violations
         assert lp_beliefs, "interior grid points still need the LP"
-        assert all(np.all(b > 0.0) for b in lp_beliefs)
+        assert all(rows == 1 << cfg.n for rows in lp_beliefs)
 
 
 class TestSandwich:

@@ -129,7 +129,7 @@ class TestSandwich:
         assert all(row[6] != "" for row in body)
 
     @pytest.mark.parametrize("name, digest", [
-        ("scenario_a.yaml", "616d60067b5e25b8e390b66539d3a9817e566db908f45eeb13c51559b146ebbb"),
+        ("scenario_a.yaml", "2be7c197635060304ce6294f63c29c98d4deaa33fda19325c728f02afed7cbe4"),
         ("scenario_d.yaml", "ca3eb48e812a20fc943a1aeaa604d60b5ec4452594bc5f572dd5b6819b856be9"),
     ], ids=["scenario-a", "scenario-d"])
     def test_output_bytes_pinned(self, name, digest, scenario_dir, tmp_path):
@@ -159,7 +159,7 @@ class TestSandwich:
         assert main(["sandwich", "--scenario", str(scenario), "--grid-sizes", "2,4,8",
                      "--probes", "10", "--out-dir", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "sandwich.csv").read_bytes()).hexdigest() == (
-            "bda56f981061d31d28ee6fab82421963375730bc1831e9ac9117bcb1f31c2cb1")
+            "b0121a681b08c35ee613a656f659223689c161a5b5ca9bffe25a7ea99a36c845")
 
 
 class TestTrace:
