@@ -15,7 +15,7 @@ from .approx import (
     approx_solve_lower,
     approx_solve_upper,
     nested_grid_ladder,
-    prune_at_points,
+    point_backup,
     sandwich,
 )
 from .beliefs import (

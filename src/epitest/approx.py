@@ -1,10 +1,12 @@
-"""Tractable value bounds: sample-point pruning above, interpolation below.
+"""Tractable value bounds: point backups above, interpolation below.
 
-The upper bound runs the exact backup but keeps, per stage, only the vectors
-that win at R chosen belief points; shrinking a min-set can only raise the
-pointwise minimum, and the Bellman operator preserves that ordering, so the
-result dominates the true value function everywhere. The lower bound runs
-the backward recursion on grid values only, evaluating next-stage values by
+The upper bound builds only the vectors of the exact backup that win at R
+chosen belief points: an action's cost plus, per branch, the next row least
+at the point (Pineau, Gordon & Thrun, IJCAI 2003). A smaller min-set lies
+higher, and the Bellman operator keeps that order, so the result dominates
+the true value function everywhere. ``BeliefGrid`` owns the corner rule, and
+nothing 2^N x 2^N is built beyond its corners. The lower bound runs the
+backward recursion on grid values only, evaluating next-stage values by
 convex-combination interpolation (Lovejoy, Operations Research 1991), which
 concavity puts below the true function. With the grid's corners implicit, a
 belief b is worth b.v_c, the plane through the corner values, plus at most
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -31,8 +33,10 @@ from .exact import (
     _backward_induction,
     _terminal_set,
     exact_backup,
+    pulled_back,
 )
 from .model import (
+    ContactGraph,
     EMPTY_QUARANTINE,
     Quarantine,
     branches,
@@ -59,7 +63,9 @@ class BeliefGrid:
 
     ``descriptor`` records how the points were generated, for provenance in
     reports. Corner points (all point-mass beliefs) guarantee every belief is
-    inside the convex hull, which the lower bound needs for coverage.
+    inside the convex hull, which the lower bound needs for coverage. A state's
+    first point mass is its corner (``corner_states``, at ``corner_rows``);
+    the rest, a second copy of a corner included, are ``interior``.
     """
 
     n: int
@@ -80,9 +86,22 @@ class BeliefGrid:
                                       f"state {bad[0]} holds {pt[bad[0]]}")
             if abs(np.sum(pt) - 1.0) > SUM_TOLERANCE:
                 raise ValidationError(f"grid point {k} has mass {np.sum(pt)}, expected 1")
+        corner = {}  # state -> grid row of its first point mass
+        for r, pt in enumerate(map(np.asarray, self.points)):
+            s = int(pt.argmax())
+            if pt[s] == 1.0 and np.count_nonzero(pt) == 1:
+                corner.setdefault(s, r)
+        self.corner_states = np.array(list(corner), dtype=int)
+        self.corner_rows = np.array(list(corner.values()), dtype=int)
+        self.interior_rows = np.setdiff1d(np.arange(len(self)), self.corner_rows)
+        self.interior = np.reshape([self.points[r] for r in self.interior_rows], (-1, size))
 
-    def matrix(self) -> np.ndarray:
-        return np.stack(self.points)
+    def dots(self, vectors: np.ndarray) -> np.ndarray:
+        """Each row of ``vectors`` at each point, shaped (len(vectors), len(grid))."""
+        out = np.empty((len(vectors), len(self)))
+        out[:, self.corner_rows] = vectors[:, self.corner_states]
+        out[:, self.interior_rows] = (self.interior @ vectors.T).T
+        return out
 
     def __len__(self):
         return len(self.points)
@@ -123,29 +142,40 @@ def nested_grid_ladder(n: int, sizes: Sequence[int], seed: int):
     R interior points, so larger grids are supersets of smaller ones."""
     sizes = list(sizes)
     master = BeliefGrid.uniform_random(n, max(sizes), seed) if max(sizes) > 0 else None
-    corners = BeliefGrid.corners(n)
+    corners = list(np.eye(1 << n))
     out = []
     for r in sizes:
-        pts = corners.points + (master.points[:r] if master else [])
+        pts = corners + (master.points[:r] if master else [])
         out.append(BeliefGrid(n, pts, f"corner+uniform-random({r},seed={seed})"))
     return out
 
 
 # ---------------------------------------------------------------------------
-# upper bound: backup + sample-point pruning
+# upper bound: point backups
 # ---------------------------------------------------------------------------
 
 
-def prune_at_points(aset: AlphaSet, grid: BeliefGrid) -> AlphaSet:
-    """Keep exactly the vectors that achieve the minimum at some grid point.
-
-    Ties at a point go to the lowest vector index; kept vectors stay in their
-    original order. The pruned set agrees with the full set at every grid
-    point by construction.
-    """
-    dots = aset.values @ grid.matrix().T  # |set| x R
-    winners = np.unique(np.argmin(dots, axis=0))
-    return AlphaSet(aset.values[winners], aset.actions[winners], aset.t, aset.quarantine)
+def point_backup(next_sets: Mapping[Quarantine, AlphaSet], g: ContactGraph, q: Quarantine,
+                 p: float, lam: float, grid: BeliefGrid) -> AlphaSet:
+    """The vectors of :func:`exact_backup` least at some grid point, with no cross-sum:
+    at a point, action u's least sum is (c + λ) plus each branch's least row there.
+    Rows sort lexicographically, sums by (action, rows), so a point keeps its first
+    tied minimizer, which the full backup never prunes; sums add in its order."""
+    c = infection_counts(g.n_vertices)
+    sums, tags = [], []
+    for u, backs in pulled_back(next_sets, g, q, p):
+        backs = [back[np.lexsort(back.T[::-1])] for back in backs]
+        shape = [len(back) for back in backs]  # distinct tuples of per-branch least rows
+        picks = np.ravel_multi_index([grid.dots(back).argmin(axis=0) for back in backs], shape)
+        rows = c + lam if u else c
+        for back, pick in zip(backs, np.unravel_index(np.unique(picks), shape)):
+            rows = rows + back[pick]
+        sums.append(rows)
+        tags.append(np.full(len(rows), u))
+    values, actions = np.concatenate(sums), np.concatenate(tags)
+    order = np.lexsort((*values.T[::-1], actions))
+    keep = order[np.unique(grid.dots(values[order]).argmin(axis=0))]
+    return AlphaSet(values[keep], actions[keep], t=next_sets[q].t - 1, quarantine=q)
 
 
 def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid):
@@ -157,13 +187,13 @@ def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid):
 
 
 def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
-    """Backward recursion with sample-point pruning after every backup; the
-    result dominates the true value function everywhere."""
+    """Backward recursion by :func:`point_backup`; the result dominates the
+    true value function everywhere."""
     _check_grid(cfg, grid)
     table = _backward_induction(
         cfg,
         lambda q: _terminal_set(cfg, q),
-        lambda nxt, g, q: prune_at_points(exact_backup(nxt, g, q, cfg.p, cfg.lam), grid),
+        lambda nxt, g, q: point_backup(nxt, g, q, cfg.p, cfg.lam, grid),
     )
     return ValueFunction(cfg.n, cfg.horizon, table)
 
@@ -176,8 +206,7 @@ def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
 class _HullInterpolator:
     """Best certified value of a belief as a convex combination of grid points.
 
-    The first point mass on each state is its corner; every other point, a
-    second copy of a corner included, is interior. A corner's weight is b_s
+    With the grid's corners and interior points, a corner's weight is b_s
     minus the interior weights' mass on s, so with corner values v_c (0 where
     a state has none) and gain_j = v_j - g_j.v_c the value is b.v_c + max
     gain.mu over mu >= 0, G^T mu <= b on states with a corner and = b on the
@@ -190,35 +219,21 @@ class _HullInterpolator:
 
     def __init__(self, grid: BeliefGrid):
         self.grid = grid
-        corner = {}  # state -> grid row of its first point mass
-        for r, pt in enumerate(map(np.asarray, grid.points)):
-            s = int(pt.argmax())
-            if pt[s] == 1.0 and np.count_nonzero(pt) == 1:
-                corner.setdefault(s, r)
-        self.corner_states = np.array(list(corner), dtype=int)
-        self.corner_rows = np.array(list(corner.values()), dtype=int)
-        self.interior_rows = np.setdiff1d(np.arange(len(grid)), self.corner_rows)
-        self.interior = np.reshape([grid.points[r] for r in self.interior_rows], (-1, 1 << grid.n))
-        self.cornered = np.isin(np.arange(1 << grid.n), self.corner_states)
+        self.cornered = np.isin(np.arange(1 << grid.n), grid.corner_states)
         # A corner's child has at most n + 1 support states, so no interior point with
         # more fits it: then, with a corner on every state, corner rows are one backup.
         self.corner_backup = bool(self.cornered.all() and (
-            np.count_nonzero(self.interior, axis=1) > grid.n + 1).all())
+            np.count_nonzero(grid.interior, axis=1) > grid.n + 1).all())
 
     def split(self, values: np.ndarray):
         """(corner values v_c by state, the interior points' gains)."""
         v_c = np.zeros(self.cornered.size)
-        v_c[self.corner_states] = values[self.corner_rows]
-        return v_c, values[self.interior_rows] - self.interior @ v_c
+        v_c[self.grid.corner_states] = values[self.grid.corner_rows]
+        return v_c, values[self.grid.interior_rows] - self.grid.interior @ v_c
 
     def plane(self, c: np.ndarray) -> np.ndarray:
-        """Grid values of the pointwise minimum of the planes in the rows of
-        ``c`` (one plane when ``c`` is 1-D); a corner reads c at its state."""
-        c = np.atleast_2d(c)
-        vals = np.empty(len(self.grid))
-        vals[self.corner_rows] = c.min(axis=0)[self.corner_states]
-        vals[self.interior_rows] = (self.interior @ c.T).min(axis=1)
-        return vals
+        """Grid values of the least plane in the rows of ``c`` (or of 1-D ``c``)."""
+        return self.grid.dots(np.atleast_2d(c)).min(axis=0)
 
     def flat(self, values: np.ndarray) -> bool:
         """``corner_backup`` holds and no grid value lies above the plane
@@ -230,8 +245,8 @@ class _HullInterpolator:
         if b.shape == self.cornered.shape and b.min() >= 0.0 and abs(b.sum() - 1) <= SUM_TOLERANCE:
             inside, (v_c, gain) = b > 0.0, self.split(values)
             eq = ~self.cornered[inside]  # the rows of states with no corner
-            keep = ~self.interior[:, ~inside].any(axis=1) & (eq.any() | (gain > 0.0))
-            g, b_in = self.interior[keep][:, inside].T, b[inside]
+            keep = ~self.grid.interior[:, ~inside].any(axis=1) & (eq.any() | (gain > 0.0))
+            g, b_in = self.grid.interior[keep][:, inside].T, b[inside]
             base = float(b_in @ v_c[inside])
             if not keep.any() and not eq.any():
                 return base
@@ -311,7 +326,7 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
             vals = interp.plane(exact_backup(sets, g, q, cfg.p, cfg.lam).values)
             if all(interp.flat(nxt[q_next]) for q_next in sets):
                 return vals  # every child's interpolant is its corner plane
-            rows = interp.interior_rows
+            rows = grid.interior_rows
         for r in rows:
             bf = grid.points[r]
             _, best = one_step_min(

@@ -150,6 +150,21 @@ def _prune_one_action(rows: np.ndarray, u: int) -> np.ndarray:
     return rows if len(rows) < 2 else _canonical_prune(rows, np.full(len(rows), u))[0]
 
 
+def pulled_back(next_sets: Mapping[Quarantine, AlphaSet], g: ContactGraph, q: Quarantine,
+                p: float):
+    """(u, [one matrix per branch]) per candidate action u: the branch's next
+    vectors pulled back one step, on the states that give its outcome."""
+    n = g.n_vertices
+    backs = {}  # next quarantine (which fixes the branch's step) -> pulled-back set
+    for u in candidate_actions(n, q):
+        out = []
+        for y, q_next, step in branches(g, q, u, p):
+            if q_next not in backs:
+                backs[q_next] = step.back(next_sets[q_next].values.T).T
+            out.append(backs[q_next] if y is None else outcome_indicator(n, u, y) * backs[q_next])
+        yield u, out
+
+
 def exact_backup(
     next_sets: Mapping[Quarantine, AlphaSet],
     g: ContactGraph,
@@ -161,28 +176,18 @@ def exact_backup(
 
     ``next_sets`` maps every quarantine set a branch can reach to its stage
     t+1 AlphaSet. Each action contributes the cross-sum, over its observation
-    branches (see :func:`branches`), of the branch's next-stage vectors
-    pulled back one step and restricted to the states that give its outcome.
+    branches, of the :func:`pulled_back` sets.
 
     Each branch's set, and each partial cross-sum before the next branch,
     drops the rows another row of the same action dominates. Addition is
     monotone, so a dropped row's completions are dominated by ones that sort
     earlier, and the final prune keeps what it would keep of the full sum.
     """
-    n = g.n_vertices
-    c = infection_counts(n)
-
-    backs = {}  # next quarantine (which fixes the branch's step) -> pulled-back set
-    stacked = []
-    actions = []
-    for u in candidate_actions(n, q):
+    c = infection_counts(g.n_vertices)
+    stacked, actions = [], []
+    for u, backs in pulled_back(next_sets, g, q, p):
         rows = (c + lam if u else c)[None, :]
-        for y, q_next, step in branches(g, q, u, p):
-            if q_next not in backs:
-                backs[q_next] = step.back(next_sets[q_next].values.T).T
-            back = backs[q_next]
-            if y is not None:
-                back = outcome_indicator(n, u, y) * back
+        for back in backs:
             rows, back = _prune_one_action(rows, u), _prune_one_action(back, u)
             rows = (rows[:, None, :] + back[None, :, :]).reshape(-1, len(c))
         stacked.append(rows)

@@ -12,12 +12,20 @@ from epitest.approx import (
     approx_solve_lower,
     approx_solve_upper,
     nested_grid_ladder,
-    prune_at_points,
+    point_backup,
     sandwich,
 )
 from epitest.beliefs import Belief
 from epitest.errors import CoverageError, SizeCapError, ValidationError
-from epitest.exact import AlphaSet, _backward_induction, _reachable_quarantines, evaluate, solve
+from epitest.exact import (
+    AlphaSet,
+    _backward_induction,
+    _reachable_quarantines,
+    _terminal_set,
+    evaluate,
+    exact_backup,
+    solve,
+)
 from epitest.model import (
     ContactGraph,
     ContactSchedule,
@@ -27,7 +35,7 @@ from epitest.model import (
     one_step_min,
 )
 from epitest.oracle import oracle_value
-from epitest.presets import probe_beliefs, scenario_a, scenario_c
+from epitest.presets import probe_beliefs, scenario_a, scenario_b, scenario_c, scenario_d
 from epitest.scenario import ScenarioConfig
 
 from _child import peak_rss_mib
@@ -47,13 +55,13 @@ class TestGrids:
     def test_corners(self):
         grid = BeliefGrid.corners(2)
         assert len(grid) == 4
-        assert np.array_equal(grid.matrix(), np.eye(4))
+        assert np.array_equal(np.stack(grid.points), np.eye(4))
 
     def test_uniform_random_is_seeded(self):
         a = BeliefGrid.uniform_random(2, 3, seed=5)
         b = BeliefGrid.uniform_random(2, 3, seed=5)
-        assert np.array_equal(a.matrix(), b.matrix())
-        assert np.allclose(a.matrix().sum(axis=1), 1.0)
+        assert np.array_equal(np.stack(a.points), np.stack(b.points))
+        assert np.allclose(np.stack(a.points).sum(axis=1), 1.0)
 
     def test_regular_grid(self):
         grid = BeliefGrid.regular(1, 4)
@@ -65,7 +73,7 @@ class TestGrids:
     def test_nested_ladder_shares_prefixes(self):
         g2, g4 = nested_grid_ladder(2, [2, 4], seed=9)
         assert len(g2) == 4 + 2 and len(g4) == 4 + 4
-        assert np.array_equal(g2.matrix(), g4.matrix()[: len(g2)])
+        assert np.array_equal(np.stack(g2.points), np.stack(g4.points)[: len(g2)])
 
     def test_dimension_check(self):
         message = r"grid point 1 has 3 entries, expected 2\*\*2 = 4"
@@ -88,31 +96,99 @@ class TestGrids:
             BeliefGrid(1, [np.array([1.0, 0.0]), np.array([1.0 - bad, bad])], "bad")
 
 
-class TestPruneAtPoints:
+def sieve(aset, grid):
+    """The dense reference: keep exactly the vectors least at some grid
+    point, ties to the lowest index, in their order."""
+    winners = np.unique(np.argmin(aset.values @ np.stack(grid.points).T, axis=0))
+    return AlphaSet(aset.values[winners], aset.actions[winners], aset.t, aset.quarantine)
+
+
+def assert_same_set(got, want):
+    assert (got.t, got.quarantine) == (want.t, want.quarantine)
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.actions.tobytes() == want.actions.tobytes()
+
+
+def against_the_sieve(cfg, grid):
+    """The upper bound's sweep, checking at every (t, q) that point_backup
+    equals sieve(exact_backup) of the same next sets; returns the count."""
+    compared = []
+
+    def backup(nxt, g, q):
+        want = sieve(exact_backup(nxt, g, q, cfg.p, cfg.lam), grid)
+        assert_same_set(point_backup(nxt, g, q, cfg.p, cfg.lam, grid), want)
+        compared.append(q)
+        return want
+
+    _backward_induction(cfg, lambda q: _terminal_set(cfg, q), backup)
+    return len(compared)
+
+
+def sieve_grids(n):
+    """Regular grids, the centre alone, a duplicated corner and corners only."""
+    size = 1 << n
+    regular = {2: range(1, 5), 3: range(1, 4)}.get(n, ())
+    return ([BeliefGrid.regular(n, m) for m in regular]
+            + [BeliefGrid(n, [np.full(size, 1.0 / size)], "center-only"),
+               duplicated_corner_grid(n, 4 + n), BeliefGrid.corners(n),
+               BeliefGrid(n, [np.eye(size)[size - 1], np.eye(size)[0]], "two-corners")])
+
+
+class TestPointBackup:
+    """The point backup keeps what the dense sieve keeps of the full backup:
+    the same vectors, bit for bit, with the same tags, in the same order."""
+
+    @pytest.mark.parametrize("n, horizon, per_step", [
+        (n, horizon, per_step) for n in (2, 3, 4) for horizon in (3, 4) for per_step in (False, True)
+    ])
+    def test_random_scenarios_match_the_sieve(self, n, horizon, per_step):
+        for lam in (0.0, 0.3, 1.0):
+            rng = np.random.default_rng([n, horizon, per_step, int(10 * lam)])
+            cfg = random_scenario(n, horizon, 0.5, lam, rng, per_step)
+            for grid in sieve_grids(n):
+                assert against_the_sieve(cfg, grid) > 0
+
+    @pytest.mark.parametrize("make", [scenario_a, scenario_b, scenario_c, scenario_d])
+    def test_presets_match_the_sieve(self, make):
+        cfg = make()
+        for grid in nested_grid_ladder(cfg.n, [0, 1, 5], seed=11):
+            assert against_the_sieve(cfg, grid) > 0
+
     def test_singleton_unchanged(self):
-        aset = AlphaSet(infection_counts(2)[None, :], [0], t=1)
-        grid = BeliefGrid.corners(2)
-        pruned = prune_at_points(aset, grid)
-        assert np.array_equal(pruned.values, aset.values)
-        assert np.array_equal(pruned.actions, aset.actions)
+        # tests cost 100, so not testing wins everywhere: one vector, tag 0
+        cfg = config(2, 2, 0.5, 100.0, [(1, 2, 1.0)])
+        nxt = {q: _terminal_set(cfg, q) for q in _reachable_quarantines(2, 1)}
+        args = (nxt, cfg.graph_at(1), EMPTY, cfg.p, cfg.lam)
+        got = point_backup(*args, BeliefGrid.corners(2))
+        assert len(got) == 1 and got.actions.tolist() == [0]
+        assert_same_set(got, exact_backup(*args))
 
     def test_dominated_vector_dropped(self):
-        aset = AlphaSet(np.stack([np.ones(4), np.zeros(4)]), [0, 1], t=1)
-        pruned = prune_at_points(aset, BeliefGrid.corners(2))
-        assert len(pruned) == 1
-        assert pruned.actions[0] == 1
+        # each next set gains, first, a copy of its row raised on the last
+        # state: it ties wherever that state has no mass, and never wins
+        cfg = scenario_c()
+        nxt = {q: _terminal_set(cfg, q) for q in _reachable_quarantines(2, 2)}
+        raised = {}
+        for q, aset in nxt.items():
+            worse = aset.values.copy()
+            worse[:, -1] += 1.0
+            raised[q] = AlphaSet(np.vstack([worse, aset.values]), [0, 0], aset.t, q)
+        grid = nested_grid_ladder(2, [3], seed=2)[0]
+        for q in _reachable_quarantines(2, 1):
+            args = (cfg.graph_at(2), q, cfg.p, cfg.lam, grid)
+            assert_same_set(point_backup(raised, *args), point_backup(nxt, *args))
 
     def test_grid_point_values_preserved(self):
         cfg = scenario_a()
         vf = solve(cfg)
-        full = vf.alpha_set(1)
+        nxt = {q: vf.alpha_set(2, q) for q in _reachable_quarantines(3, 1)}
+        full = exact_backup(nxt, cfg.graph_at(1), EMPTY, cfg.p, cfg.lam)
         grid = BeliefGrid.corners_plus_random(3, 5, seed=3)
-        pruned = prune_at_points(full, grid)
-        assert len(pruned) <= min(len(full), len(grid))
+        kept = point_backup(nxt, cfg.graph_at(1), EMPTY, cfg.p, cfg.lam, grid)
+        assert len(kept) <= min(len(full), len(grid))
         for pt in grid.points:
-            assert evaluate(pruned, pt).value == pytest.approx(
-                evaluate(full, pt).value, abs=1e-12
-            )
+            assert evaluate(kept, pt).value == pytest.approx(evaluate(full, pt).value, abs=1e-12)
 
 
 class TestUpperBound:
@@ -187,7 +263,7 @@ class TestLowerBound:
 
 def reference_hull_value(grid, b, values):
     """The interpolation LP exactly as stated, solved with no support rule."""
-    pts = grid.matrix()
+    pts = np.stack(grid.points)
     res = linprog(
         -values,
         A_eq=np.vstack([pts.T, np.ones(len(grid))]),
@@ -366,7 +442,7 @@ def per_point_tables(cfg, grid):
             vals.append(float(bf @ c) + best)
         return np.array(vals)
 
-    return _backward_induction(cfg, lambda q: grid.matrix() @ c, backup)
+    return _backward_induction(cfg, lambda q: np.stack(grid.points) @ c, backup)
 
 
 class TestCornerRows:
@@ -472,12 +548,12 @@ LOWER_BOUND_RING8 = """
     import sys
 
     import numpy as np
-    from epitest.approx import approx_solve_lower, nested_grid_ladder
+    from epitest import approx
     from epitest.beliefs import Belief
     from epitest.model import ContactGraph, ContactSchedule
     from epitest.scenario import ScenarioConfig
 
-    n, horizon = int(sys.argv[1]), 4
+    n, horizon, bound = int(sys.argv[1]), int(sys.argv[2]), getattr(approx, sys.argv[3])
     edges = {tuple(sorted((i, i % n + 1))): 1.0 for i in range(1, n + 1)}
     rng = np.random.default_rng(1)
     for _ in range(n):
@@ -486,7 +562,7 @@ LOWER_BOUND_RING8 = """
     g = ContactGraph.from_edges(n, [(a, b, w) for (a, b), w in edges.items()])
     schedule = ContactSchedule.static(horizon, g)
     cfg = ScenarioConfig(n, horizon, 0.5, 0.3, schedule, Belief.uniform(n), 0)
-    approx_solve_lower(cfg, nested_grid_ladder(n, [8], 601)[0])
+    bound(cfg, approx.nested_grid_ladder(n, [8], 601)[0])
     """
 
 
@@ -494,15 +570,29 @@ def test_ring8_lower_bound_memory():
     """The ring-8 T=4 lower bound on its 2**8 corners plus 8 random points,
     in a child process limited to 3 GB of address space: with no memo, and
     the corner rows from one backup per (t, q), it stays under 160 MiB."""
-    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 8)
+    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 8, 4, "approx_solve_lower")
     assert peak_mib < 160, peak_mib
 
 
 def test_ring12_lower_bound_memory():
     """The same at ring-12 T=4, the largest N the bounds admit: the corners
     stay implicit, so nothing of size 4**N is built beyond the grid itself."""
-    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 12)
+    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 12, 4, "approx_solve_lower")
     assert peak_mib < 500, peak_mib
+
+
+def test_ring8_t6_upper_bound_memory():
+    """The ring-8 T=6 upper bound: point backups build only the vectors that
+    win at a grid point, never the cross-sum, so it stays under 200 MiB."""
+    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 8, 6, "approx_solve_upper")
+    assert peak_mib < 200, peak_mib
+
+
+def test_ring12_upper_bound_memory():
+    """The ring-12 T=4 upper bound: no dense copy of the grid, corners
+    included, is stacked per backup, so it stays under 360 MiB."""
+    peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 12, 4, "approx_solve_upper")
+    assert peak_mib < 360, peak_mib
 
 
 class TestLpSolveCount:
