@@ -1,19 +1,16 @@
-"""Tractable value bounds: point backups above, interpolation below.
+"""Tractable value bounds on belief grids: point backups above, interpolation below.
 
-The upper bound builds only the vectors of the exact backup that win at R
-chosen belief points: an action's cost plus, per branch, the next row least
-at the point (Pineau, Gordon & Thrun, IJCAI 2003). A smaller min-set lies
-higher, and the Bellman operator keeps that order, so the result dominates
-the true value function everywhere. ``BeliefGrid`` owns the corner rule, and
-nothing 2^N x 2^N is built beyond its corners. The lower bound runs the
-backward recursion on grid values only, evaluating next-stage values by
-convex-combination interpolation (Lovejoy, Operations Research 1991), which
-concavity puts below the true function. With the grid's corners implicit, a
-belief b is worth b.v_c, the plane through the corner values, plus at most
-one LP over the interior points above that plane; a backup whose next-stage
-tables lie on or below their corner planes is an exact alpha backup
-(Hauskrecht, JAIR 2000). Together the bounds sandwich the exact value
-function, and the per-probe gap is the accuracy certificate of the pair.
+Every ``BeliefGrid`` holds the 2^N point masses implicitly, so every belief lies in
+its hull, and nothing 2^N x 2^N is built. The upper bound builds only the vectors of
+the exact backup that win at grid points: an action's cost plus, per branch, the next
+row least at the point (Pineau, Gordon & Thrun, IJCAI 2003). A smaller min-set lies
+higher, and the Bellman operator keeps that order, so it dominates the true value
+function everywhere. The lower bound backs up grid values only, valuing children by
+convex-combination interpolation (Lovejoy, Operations Research 1991), which concavity
+puts below the true function: b.v_c, the plane through the corner values, plus at most
+one LP over the interior points above that plane; a backup whose next tables lie on
+their corner planes is one alpha backup (Hauskrecht, JAIR 2000). The per-probe gap
+between the bounds certifies the pair.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .model import (
     ContactGraph,
     EMPTY_QUARANTINE,
     Quarantine,
+    TIE_RTOL,
     branches,
     candidate_actions,
     infection_counts,
@@ -59,22 +57,21 @@ BRACKET_TOL = 1e-9  # a tighter gap is tight; bounds may cross or miss the oracl
 
 @dataclass
 class BeliefGrid:
-    """An ordered list of belief points on the 2**n simplex.
+    """Belief points on the 2**n simplex: the 2**n point masses, implicit,
+    then the interior ``points`` given.
 
+    Row r < 2**n is the point mass on state r, so every belief lies in the
+    grid's hull, which the lower bound needs; row 2**n + j is ``points[j]``,
+    a point mass given again included. ``interior`` stacks ``points``.
     ``descriptor`` records how the points were generated, for provenance in
-    reports. Corner points (all point-mass beliefs) guarantee every belief is
-    inside the convex hull, which the lower bound needs for coverage. A state's
-    first point mass is its corner (``corner_states``, at ``corner_rows``);
-    the rest, a second copy of a corner included, are ``interior``.
+    reports.
     """
 
     n: int
-    points: list  # dense arrays of length 2**n
+    points: list  # the interior points: dense arrays of length 2**n
     descriptor: str
 
     def __post_init__(self):
-        if not self.points:
-            raise ValidationError("belief grid needs at least one point")
         size = 1 << self.n
         for k, pt in enumerate(self.points):
             if len(pt) != size:
@@ -86,35 +83,18 @@ class BeliefGrid:
                                       f"state {bad[0]} holds {pt[bad[0]]}")
             if abs(np.sum(pt) - 1.0) > SUM_TOLERANCE:
                 raise ValidationError(f"grid point {k} has mass {np.sum(pt)}, expected 1")
-        corner = {}  # state -> grid row of its first point mass
-        for r, pt in enumerate(map(np.asarray, self.points)):
-            s = int(pt.argmax())
-            if pt[s] == 1.0 and np.count_nonzero(pt) == 1:
-                corner.setdefault(s, r)
-        self.corner_states = np.array(list(corner), dtype=int)
-        self.corner_rows = np.array(list(corner.values()), dtype=int)
-        self.interior_rows = np.setdiff1d(np.arange(len(self)), self.corner_rows)
-        self.interior = np.reshape([self.points[r] for r in self.interior_rows], (-1, size))
+        self.interior = np.reshape(np.asarray(self.points, dtype=float), (-1, size))
 
     def dots(self, vectors: np.ndarray) -> np.ndarray:
         """Each row of ``vectors`` at each point, shaped (len(vectors), len(grid))."""
-        out = np.empty((len(vectors), len(self)))
-        out[:, self.corner_rows] = vectors[:, self.corner_states]
-        out[:, self.interior_rows] = (self.interior @ vectors.T).T
-        return out
+        return np.hstack([vectors, (self.interior @ vectors.T).T])
 
     def __len__(self):
-        return len(self.points)
+        return (1 << self.n) + len(self.points)
 
     @classmethod
     def corners(cls, n: int) -> "BeliefGrid":
-        return cls(n, list(np.eye(1 << n)), "corner")
-
-    @classmethod
-    def uniform_random(cls, n: int, r: int, seed: int) -> "BeliefGrid":
-        rng = np.random.default_rng(seed)
-        pts = [rng.dirichlet(np.ones(1 << n)) for _ in range(r)]
-        return cls(n, pts, f"uniform-random({r},seed={seed})")
+        return cls(n, [], "corner")
 
     @classmethod
     def regular(cls, n: int, m: int) -> "BeliefGrid":
@@ -129,7 +109,8 @@ class BeliefGrid:
         pts = []
         for cuts in combinations(range(m + size - 1), size - 1):
             parts = np.diff((-1,) + cuts + (m + size - 1,)) - 1
-            pts.append(parts / m)
+            if parts.max() < m:  # the point masses are implicit
+                pts.append(parts / m)
         return cls(n, pts, f"regular-grid(m={m})")
 
     @classmethod
@@ -138,16 +119,13 @@ class BeliefGrid:
 
 
 def nested_grid_ladder(n: int, sizes: Sequence[int], seed: int):
-    """Grids sharing one random draw: each holds all corners plus the first
-    R interior points, so larger grids are supersets of smaller ones."""
-    sizes = list(sizes)
-    master = BeliefGrid.uniform_random(n, max(sizes), seed) if max(sizes) > 0 else None
-    corners = list(np.eye(1 << n))
-    out = []
-    for r in sizes:
-        pts = corners + (master.points[:r] if master else [])
-        out.append(BeliefGrid(n, pts, f"corner+uniform-random({r},seed={seed})"))
-    return out
+    """Grids sharing one random draw: each holds the first R uniform-random
+    interior points, so larger grids are supersets of smaller ones. Refuses
+    N > ``DEFAULT_MAX_N`` before drawing any point."""
+    _check_size(n)
+    rng = np.random.default_rng(seed)
+    master = [rng.dirichlet(np.ones(1 << n)) for _ in range(max(sizes, default=0))]
+    return [BeliefGrid(n, master[:r], f"corner+uniform-random({r},seed={seed})") for r in sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +138,24 @@ def point_backup(next_sets: Mapping[Quarantine, AlphaSet], g: ContactGraph, q: Q
     """The vectors of :func:`exact_backup` least at some grid point, with no cross-sum:
     at a point, action u's least sum is (c + λ) plus each branch's least row there.
     Rows sort lexicographically, sums by (action, rows), so a point keeps its first
-    tied minimizer, which the full backup never prunes; sums add in its order."""
-    c = infection_counts(g.n_vertices)
+    tied minimizer, which the full backup never prunes; sums add in its order. Off the
+    corners a sum's own rounding decides among exactly tied sums, so there every row
+    within ``TIE_RTOL`` times the least sum of its branch's least takes part too."""
+    c, size = infection_counts(g.n_vertices), 1 << g.n_vertices
     sums, tags = [], []
     for u, backs in pulled_back(next_sets, g, q, p):
         backs = [back[np.lexsort(back.T[::-1])] for back in backs]
         shape = [len(back) for back in backs]  # distinct tuples of per-branch least rows
-        picks = np.ravel_multi_index([grid.dots(back).argmin(axis=0) for back in backs], shape)
-        rows = c + lam if u else c
-        for back, pick in zip(backs, np.unravel_index(np.unique(picks), shape)):
+        at, rows = [grid.dots(back) for back in backs], c + lam if u else c
+        picks = [np.ravel_multi_index([a.argmin(axis=0) for a in at], shape)]
+        if max(shape) > 1:  # else no branch has a second row to tie
+            least = [a[:, size:].min(axis=0) for a in at]
+            slack = TIE_RTOL * (grid.interior @ rows + sum(least))
+            near = [a[:, size:] <= m + slack for a, m in zip(at, least)]
+            for j in np.flatnonzero(sum(m.sum(axis=0) for m in near) > len(near)):
+                tied = np.ix_(*[np.flatnonzero(m[:, j]) for m in near])
+                picks.append(np.ravel_multi_index(tied, shape).ravel())
+        for back, pick in zip(backs, np.unravel_index(np.unique(np.concatenate(picks)), shape)):
             rows = rows + back[pick]
         sums.append(rows)
         tags.append(np.full(len(rows), u))
@@ -178,18 +165,18 @@ def point_backup(next_sets: Mapping[Quarantine, AlphaSet], g: ContactGraph, q: Q
     return AlphaSet(values[keep], actions[keep], t=next_sets[q].t - 1, quarantine=q)
 
 
-def _check_grid(cfg: ScenarioConfig, grid: BeliefGrid):
-    if cfg.n > DEFAULT_MAX_N:
-        raise SizeCapError(f"approximate solver capped at N <= {DEFAULT_MAX_N}, got {cfg.n}")
-    if grid.n != cfg.n:
+def _check_size(n: int, grid: BeliefGrid | None = None):
+    if n > DEFAULT_MAX_N:
+        raise SizeCapError(f"approximate solver capped at N <= {DEFAULT_MAX_N}, got {n}")
+    if grid is not None and grid.n != n:
         raise ValidationError(f"grid dimension N = {grid.n} does not match "
-                              f"the scenario's N = {cfg.n}")
+                              f"the scenario's N = {n}")
 
 
 def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
     """Backward recursion by :func:`point_backup`; the result dominates the
     true value function everywhere."""
-    _check_grid(cfg, grid)
+    _check_size(cfg.n, grid)
     table = _backward_induction(
         cfg,
         lambda q: _terminal_set(cfg, q),
@@ -206,30 +193,25 @@ def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
 class _HullInterpolator:
     """Best certified value of a belief as a convex combination of grid points.
 
-    With the grid's corners and interior points, a corner's weight is b_s
-    minus the interior weights' mass on s, so with corner values v_c (0 where
-    a state has none) and gain_j = v_j - g_j.v_c the value is b.v_c + max
-    gain.mu over mu >= 0, G^T mu <= b on states with a corner and = b on the
-    rest. Only points inside supp(b) can take weight, and where all of supp(b)
-    has corners, only points with gain_j > 0; with none left there is no LP.
-    The LP's mu is clipped to >= 0 and scaled until each corner weight is
-    >= 0, so the value is certified to rounding, not to HiGHS's 1e-7; with
-    equality rows (no CLI verb builds such a grid) the LP's value stands.
+    A corner's weight is b_s minus the interior weights' mass on s, so with
+    corner values v_c and gain_j = v_j - g_j.v_c the value is b.v_c + max
+    gain.mu over mu >= 0, G^T mu <= b. Only points inside supp(b) with
+    gain_j > 0 can take weight; with none left there is no LP. mu = 0 is
+    feasible, so a failed LP is the solver's failure, not a belief outside
+    the hull. The LP's mu is clipped to >= 0 and scaled until each corner
+    weight is >= 0, so the value is certified to rounding, not to HiGHS's 1e-7.
     """
 
     def __init__(self, grid: BeliefGrid):
         self.grid = grid
-        self.cornered = np.isin(np.arange(1 << grid.n), grid.corner_states)
         # A corner's child has at most n + 1 support states, so no interior point with
-        # more fits it: then, with a corner on every state, corner rows are one backup.
-        self.corner_backup = bool(self.cornered.all() and (
-            np.count_nonzero(grid.interior, axis=1) > grid.n + 1).all())
+        # more fits it: then corner rows are one backup.
+        self.corner_backup = bool((np.count_nonzero(grid.interior, axis=1) > grid.n + 1).all())
 
     def split(self, values: np.ndarray):
         """(corner values v_c by state, the interior points' gains)."""
-        v_c = np.zeros(self.cornered.size)
-        v_c[self.grid.corner_states] = values[self.grid.corner_rows]
-        return v_c, values[self.grid.interior_rows] - self.grid.interior @ v_c
+        v_c = values[: 1 << self.grid.n]
+        return v_c, values[v_c.size:] - self.grid.interior @ v_c
 
     def plane(self, c: np.ndarray) -> np.ndarray:
         """Grid values of the least plane in the rows of ``c`` (or of 1-D ``c``)."""
@@ -242,32 +224,30 @@ class _HullInterpolator:
 
     def value(self, b: np.ndarray, values: np.ndarray) -> float:
         b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
-        if b.shape == self.cornered.shape and b.min() >= 0.0 and abs(b.sum() - 1) <= SUM_TOLERANCE:
-            inside, (v_c, gain) = b > 0.0, self.split(values)
-            eq = ~self.cornered[inside]  # the rows of states with no corner
-            keep = ~self.grid.interior[:, ~inside].any(axis=1) & (eq.any() | (gain > 0.0))
-            g, b_in = self.grid.interior[keep][:, inside].T, b[inside]
-            base = float(b_in @ v_c[inside])
-            if not keep.any() and not eq.any():
-                return base
-            if keep.any():
-                res = linprog(-gain[keep], A_ub=g[~eq], b_ub=b_in[~eq], A_eq=g[eq], b_eq=b_in[eq],
-                              bounds=(0.0, None), method="highs")
-                if res.status == 0 and eq.any():
-                    return base - float(res.fun)
-                if res.status == 0:  # a feasible mu: clipped, then scaled by
-                    mu = np.maximum(res.x, 0.0)  # alpha = min(1, min_s b_s / (G^T mu)_s)
-                    alpha = (b_in / np.maximum(g @ mu, b_in)).min()
-                    return base + float(alpha * (gain[keep] @ mu))
-        raise CoverageError(b, f"belief with support {np.count_nonzero(b)} of {b.size} states "
-                               f"is outside the hull of grid {self.grid.descriptor!r} "
-                               f"({len(self.grid)} points)")
+        support = f"support {np.count_nonzero(b)} of {b.size} states"
+        if b.shape != (1 << self.grid.n,) or b.min() < 0.0 or abs(b.sum() - 1) > SUM_TOLERANCE:
+            raise CoverageError(b, f"belief with {support} is outside the hull of grid "
+                                   f"{self.grid.descriptor!r} ({len(self.grid)} points)")
+        inside, (v_c, gain) = b > 0.0, self.split(values)
+        keep = ~self.grid.interior[:, ~inside].any(axis=1) & (gain > 0.0)
+        g, b_in = self.grid.interior[keep][:, inside].T, b[inside]
+        base = float(b_in @ v_c[inside])
+        if not keep.any():
+            return base
+        res = linprog(-gain[keep], A_ub=g, b_ub=b_in, bounds=(0.0, None), method="highs")
+        if res.status != 0:
+            raise CoverageError(b, f"hull LP over {g.shape[1]} points of grid "
+                                   f"{self.grid.descriptor!r} failed for a belief with "
+                                   f"{support}: status {res.status}, {res.message}")
+        mu = np.maximum(res.x, 0.0)  # a feasible mu: clipped, then scaled by
+        alpha = (b_in / np.maximum(g @ mu, b_in)).min()  # alpha = min(1, min_s b_s / (G^T mu)_s)
+        return base + float(alpha * (gain[keep] @ mu))
 
 
 @dataclass
 class LowerBound:
     """Grid-value tables per (stage, quarantine); lies below the true value
-    wherever the interpolation certificate exists."""
+    function everywhere."""
 
     n: int
     horizon: int
@@ -309,12 +289,11 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
     interpolant its corner plane, so the interior rows are
     ``(interior @ a.T).min(axis=1)`` and no LP is solved. Terminal tables
     come from the same :meth:`_HullInterpolator.plane`, so they are flat bit
-    for bit. Raises CoverageError (naming the grid and the belief's support
-    size) if some branch belief leaves the grid's hull; including all
-    corners in the grid rules that out.
+    for bit. Raises CoverageError (naming the LP's status and the belief's
+    support size) if HiGHS fails on a hull LP.
     """
-    _check_grid(cfg, grid)
-    c = infection_counts(cfg.n)
+    _check_size(cfg.n, grid)
+    c, size = infection_counts(cfg.n), 1 << cfg.n
     interp = _HullInterpolator(grid)
 
     def backup(nxt, g, q):  # stage-(t+1) grid values nxt, interpolated at each child
@@ -326,9 +305,9 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
             vals = interp.plane(exact_backup(sets, g, q, cfg.p, cfg.lam).values)
             if all(interp.flat(nxt[q_next]) for q_next in sets):
                 return vals  # every child's interpolant is its corner plane
-            rows = grid.interior_rows
+            rows = range(size, len(grid))
         for r in rows:
-            bf = grid.points[r]
+            bf = grid.interior[r - size] if r >= size else np.eye(1, size, r)[0]
             _, best = one_step_min(
                 cfg.n, q, cfg.lam,
                 lambda u: _branch_children(bf, u, branch_sets[u], cfg.n),

@@ -27,7 +27,8 @@ class SizeCapError(EpitestError, RuntimeError):
 
 
 class CoverageError(EpitestError, ValueError):
-    """A belief point falls outside the convex hull of an interpolation grid."""
+    """A belief cannot be valued on an interpolation grid: it is not a
+    distribution over the grid's states, or the hull LP failed."""
 
     def __init__(self, belief_dense, message=None):
         self.belief_dense = belief_dense

@@ -140,11 +140,12 @@ def run_sandwich_report(cfg: ScenarioConfig, grid_sizes: Sequence[int], probe_co
     escapes the bounds, or where :func:`approx.sandwich` reports the lower
     bound above the upper, are marked so callers can fail loudly.
     """
+    # first, so that the size cap is checked before any 2^N-sized draw
+    grids = nested_grid_ladder(cfg.n, list(grid_sizes), seed=cfg.seed)
     probes = probe_beliefs(
         cfg.n, probe_count, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0xB111,))
     )
     include_oracle = (2 * (cfg.n + 1)) ** (cfg.horizon - 1) <= 200_000
-    grids = nested_grid_ladder(cfg.n, list(grid_sizes), seed=cfg.seed)
     oracle_cache = {}
     rows = []
     for R, grid in zip(grid_sizes, grids):

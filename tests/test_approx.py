@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ from _scenarios import random_beliefs, random_scenario, ring_scenario
 EMPTY = frozenset()
 
 
+def every_row(grid):
+    """The grid's rows as one dense matrix: its 2**n corners, then its points."""
+    return np.vstack([np.eye(2**grid.n), grid.interior])
+
+
 def config(n, horizon, p, lam, edges, seed=0):
     g = ContactGraph.from_edges(n, edges)
     return ScenarioConfig(
@@ -55,25 +61,25 @@ class TestGrids:
     def test_corners(self):
         grid = BeliefGrid.corners(2)
         assert len(grid) == 4
-        assert np.array_equal(np.stack(grid.points), np.eye(4))
+        assert np.array_equal(every_row(grid), np.eye(4))
 
     def test_uniform_random_is_seeded(self):
-        a = BeliefGrid.uniform_random(2, 3, seed=5)
-        b = BeliefGrid.uniform_random(2, 3, seed=5)
+        a = BeliefGrid.corners_plus_random(2, 3, seed=5)
+        b = BeliefGrid.corners_plus_random(2, 3, seed=5)
         assert np.array_equal(np.stack(a.points), np.stack(b.points))
         assert np.allclose(np.stack(a.points).sum(axis=1), 1.0)
 
     def test_regular_grid(self):
         grid = BeliefGrid.regular(1, 4)
         assert len(grid) == 5  # compositions of 4 into 2 parts
-        assert sorted(pt[1] for pt in grid.points) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert sorted(pt[1] for pt in every_row(grid)) == [0.0, 0.25, 0.5, 0.75, 1.0]
         with pytest.raises(SizeCapError):
             BeliefGrid.regular(3, 40)
 
     def test_nested_ladder_shares_prefixes(self):
         g2, g4 = nested_grid_ladder(2, [2, 4], seed=9)
         assert len(g2) == 4 + 2 and len(g4) == 4 + 4
-        assert np.array_equal(np.stack(g2.points), np.stack(g4.points)[: len(g2)])
+        assert np.array_equal(every_row(g2), every_row(g4)[: len(g2)])
 
     def test_dimension_check(self):
         message = r"grid point 1 has 3 entries, expected 2\*\*2 = 4"
@@ -99,7 +105,7 @@ class TestGrids:
 def sieve(aset, grid):
     """The dense reference: keep exactly the vectors least at some grid
     point, ties to the lowest index, in their order."""
-    winners = np.unique(np.argmin(aset.values @ np.stack(grid.points).T, axis=0))
+    winners = np.unique(np.argmin(aset.values @ every_row(grid).T, axis=0))
     return AlphaSet(aset.values[winners], aset.actions[winners], aset.t, aset.quarantine)
 
 
@@ -126,7 +132,8 @@ def against_the_sieve(cfg, grid):
 
 
 def sieve_grids(n):
-    """Regular grids, the centre alone, a duplicated corner and corners only."""
+    """Regular grids, the centre, a duplicated corner, corners only and both
+    extreme corners given again."""
     size = 1 << n
     regular = {2: range(1, 5), 3: range(1, 4)}.get(n, ())
     return ([BeliefGrid.regular(n, m) for m in regular]
@@ -187,7 +194,7 @@ class TestPointBackup:
         grid = BeliefGrid.corners_plus_random(3, 5, seed=3)
         kept = point_backup(nxt, cfg.graph_at(1), EMPTY, cfg.p, cfg.lam, grid)
         assert len(kept) <= min(len(full), len(grid))
-        for pt in grid.points:
+        for pt in every_row(grid):
             assert evaluate(kept, pt).value == pytest.approx(evaluate(full, pt).value, abs=1e-12)
 
 
@@ -250,20 +257,21 @@ class TestLowerBound:
         for b in probe_beliefs(2, 10):
             assert lb.value(1, b) == pytest.approx(vf.value(1, b), abs=1e-9)
 
-    def test_coverage_error_without_corners(self):
-        cfg = scenario_c()
-        lonely = BeliefGrid(2, [np.full(4, 0.25)], "center-only")
-        with pytest.raises(CoverageError) as info:
-            approx_solve_lower(cfg, lonely)
-        support = np.count_nonzero(info.value.belief_dense)
-        assert info.value.belief_dense.shape == (4,)
-        assert f"support {support} of 4 states" in str(info.value)
-        assert "grid 'center-only' (1 points)" in str(info.value)
+    def test_centre_only_grid_brackets_the_oracle(self):
+        # the corners are implicit, so a grid given only its centre covers
+        # every belief
+        cfg = scenario_a()
+        grid = BeliefGrid(3, [np.full(8, 1 / 8)], "center-only")
+        lb, ub = approx_solve_lower(cfg, grid), approx_solve_upper(cfg, grid)
+        tol = approx.BRACKET_TOL
+        for t in range(1, cfg.horizon + 1):
+            for b in probe_beliefs(3, 6):
+                assert lb.value(t, b) - tol <= oracle_value(cfg, b, t=t) <= ub.value(t, b) + tol
 
 
 def reference_hull_value(grid, b, values):
     """The interpolation LP exactly as stated, solved with no support rule."""
-    pts = np.stack(grid.points)
+    pts = every_row(grid)
     res = linprog(
         -values,
         A_eq=np.vstack([pts.T, np.ones(len(grid))]),
@@ -292,8 +300,9 @@ def beliefs_for(grid, rng):
         b[keep] = rng.dirichlet(np.ones(len(keep)))
         out.append(b)
     g = ring(n)
-    interior = [pt for pt in grid.points if np.count_nonzero(pt) > 1]
-    sources = interior + grid.points[:: 1 + size // 4]
+    rows = list(every_row(grid))
+    interior = [pt for pt in rows if np.count_nonzero(pt) > 1]
+    sources = interior + rows[:: 1 + size // 4]
     for q in (frozenset(), frozenset({1})):
         for u in candidate_actions(n, q):
             branch_set = branches(g, q, u, 0.5)
@@ -303,15 +312,8 @@ def beliefs_for(grid, rng):
 
 
 def duplicated_corner_grid(n, seed):
-    corners = list(np.eye(1 << n))
-    interior = BeliefGrid.uniform_random(n, 2, seed).points
-    return BeliefGrid(n, corners + [corners[0].copy()] + interior, "duplicated-corner")
-
-
-def partial_corner_grid(n, seed):
-    """Corners for every state but two, plus seeded interior points."""
-    corners = [pt for s, pt in enumerate(np.eye(1 << n)) if s not in (1, (1 << n) - 2)]
-    return BeliefGrid(n, corners + BeliefGrid.uniform_random(n, 6, seed).points, "partial-corner")
+    interior = BeliefGrid.corners_plus_random(n, 2, seed).points
+    return BeliefGrid(n, [np.eye(1 << n)[0]] + interior, "duplicated-corner")
 
 
 class TestHullInterpolator:
@@ -332,52 +334,28 @@ class TestHullInterpolator:
             assert abs(interp.value(b, values) - reference_hull_value(grid, b, values)) <= 1e-12
 
     def test_duplicated_corner_takes_the_better_copy(self):
-        grid = BeliefGrid(1, [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                              np.array([1.0, 0.0])], "duplicated-corner")
+        grid = BeliefGrid(1, [np.array([1.0, 0.0])], "duplicated-corner")
         b = np.array([0.25, 0.75])
         assert _HullInterpolator(grid).value(b, np.array([3.0, 2.0, 1.0])) == pytest.approx(
             0.25 * 3.0 + 0.75 * 2.0, abs=1e-12)
-
-    @pytest.mark.parametrize("grid", [
-        BeliefGrid(2, [np.full(4, 0.25)], "center-only"),
-        BeliefGrid.uniform_random(3, 4, seed=12),
-    ], ids=["center-only", "random-no-corners"])
-    def test_cornerless_grid_raises_for_sparse_and_full_beliefs(self, grid):
-        rng = np.random.default_rng(3)
-        size = 1 << grid.n
-        sparse = np.zeros(size)
-        sparse[[0, size - 1]] = 0.5
-        for b in (np.eye(size)[1], sparse, rng.dirichlet(np.ones(size))):
-            with pytest.raises(CoverageError):
-                _HullInterpolator(grid).value(b, np.ones(len(grid)))
-
-    def test_partial_corner_grid_mixes_both_row_kinds(self, monkeypatch):
-        # states with no corner make equality rows, the others <= rows
-        grid = partial_corner_grid(3, seed=7)
-        rng = np.random.default_rng(8)
-        values = rng.uniform(0.0, grid.n, size=len(grid))
-        interp = _HullInterpolator(grid)
-        mixed, real = [], approx.linprog
-        monkeypatch.setattr(approx, "linprog", lambda c, **kwargs: mixed.append(
-            len(kwargs["b_ub"]) > 0 and len(kwargs["b_eq"]) > 0) or real(c, **kwargs))
-        covered = set()
-        for b in beliefs_for(grid, rng):
-            try:
-                expected = reference_hull_value(grid, b, values)
-            except AssertionError:  # the plain LP is infeasible: b is outside the hull
-                with pytest.raises(CoverageError):
-                    interp.value(b, values)
-                covered.add(False)
-            else:
-                assert abs(interp.value(b, values) - expected) <= 1e-12
-                covered.add(True)
-        assert covered == {True, False} and any(mixed)
 
     @pytest.mark.parametrize("b", [[0.5, 0.0, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0]],
                              ids=["half-mass", "negative-entry"])
     def test_non_distribution_is_left_to_the_lp(self, b):
         with pytest.raises(CoverageError):
             _HullInterpolator(BeliefGrid.corners(2)).value(np.array(b), np.ones(4))
+
+    def test_failed_lp_names_its_status_and_the_support(self, monkeypatch):
+        # mu = 0 is feasible on every grid, so a non-zero status is the
+        # solver failing, not the belief leaving the hull
+        monkeypatch.setattr(approx, "linprog", lambda c, **kwargs: SimpleNamespace(
+            status=4, message="Numerical difficulties encountered", x=None))
+        grid = BeliefGrid(2, [np.full(4, 0.25)], "center-only")
+        b = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(CoverageError, match="status 4, Numerical difficulties") as info:
+            _HullInterpolator(grid).value(b, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        assert "support 4 of 4 states" in str(info.value)
+        assert np.array_equal(info.value.belief_dense, b)
 
     def test_lower_bound_tables_match_the_plain_lp(self, monkeypatch):
         cfg = scenario_c()
@@ -433,7 +411,7 @@ def per_point_tables(cfg, grid):
 
     def backup(nxt, g, q):
         vals = []
-        for bf in grid.points:
+        for bf in every_row(grid):
             _, best = one_step_min(
                 cfg.n, q, cfg.lam,
                 lambda u: _branch_children(bf, u, branches(g, q, u, cfg.p), cfg.n),
@@ -442,7 +420,7 @@ def per_point_tables(cfg, grid):
             vals.append(float(bf @ c) + best)
         return np.array(vals)
 
-    return _backward_induction(cfg, lambda q: np.stack(grid.points) @ c, backup)
+    return _backward_induction(cfg, lambda q: every_row(grid) @ c, backup)
 
 
 class TestCornerRows:
@@ -576,9 +554,9 @@ def test_ring8_lower_bound_memory():
 
 def test_ring12_lower_bound_memory():
     """The same at ring-12 T=4, the largest N the bounds admit: the corners
-    stay implicit, so nothing of size 4**N is built beyond the grid itself."""
+    are implicit, so nothing of size 4**N is built, not even a corner block."""
     peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 12, 4, "approx_solve_lower")
-    assert peak_mib < 500, peak_mib
+    assert peak_mib < 224, peak_mib
 
 
 def test_ring8_t6_upper_bound_memory():
@@ -589,10 +567,10 @@ def test_ring8_t6_upper_bound_memory():
 
 
 def test_ring12_upper_bound_memory():
-    """The ring-12 T=4 upper bound: no dense copy of the grid, corners
-    included, is stacked per backup, so it stays under 360 MiB."""
+    """The ring-12 T=4 upper bound: with the corners implicit, no dense
+    corner block exists, so it stays under 224 MiB."""
     peak_mib = peak_rss_mib(LOWER_BOUND_RING8, 12, 4, "approx_solve_upper")
-    assert peak_mib < 360, peak_mib
+    assert peak_mib < 224, peak_mib
 
 
 class TestLpSolveCount:
@@ -604,7 +582,7 @@ class TestLpSolveCount:
         real = approx.linprog
 
         def counting(c, **kwargs):
-            seen.append(len(kwargs["b_ub"]) + len(kwargs["b_eq"]))  # rows: supp(b)
+            seen.append(len(kwargs["b_ub"]))  # rows: supp(b)
             return real(c, **kwargs)
 
         monkeypatch.setattr(approx, "linprog", counting)
@@ -682,7 +660,7 @@ class TestSandwich:
         ub_c, ub_f = approx_solve_upper(cfg, coarse), approx_solve_upper(cfg, fine)
         lb_c, lb_f = approx_solve_lower(cfg, coarse), approx_solve_lower(cfg, fine)
         for t in range(1, cfg.horizon + 1):
-            for pt in coarse.points:
+            for pt in every_row(coarse):
                 assert ub_f.value(t, pt) <= ub_c.value(t, pt) + 1e-9
                 assert lb_f.value(t, pt) >= lb_c.value(t, pt) - 1e-9
 

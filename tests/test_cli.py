@@ -12,6 +12,7 @@ from epitest.harness import SandwichReportRow
 from epitest.presets import scenario_a
 from epitest.scenario import dump_scenario
 
+from _child import exit_status
 from _scenarios import ring_scenario
 
 
@@ -160,6 +161,18 @@ class TestSandwich:
                      "--probes", "10", "--out-dir", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "sandwich.csv").read_bytes()).hexdigest() == (
             "b0121a681b08c35ee613a656f659223689c161a5b5ca9bffe25a7ea99a36c845")
+
+
+@pytest.mark.parametrize("verb", ["sandwich", "solve-approx"])
+def test_oversize_bounds_exit_3_at_once(verb, tmp_path):
+    # ring-16 is past approx.DEFAULT_MAX_N: refused before any 2**N-sized
+    # probe or grid point is drawn, in a child limited to 3 GB of address space
+    scenario = tmp_path / "ring16.yaml"
+    dump_scenario(ring_scenario(16, 0.3, chord_seed=1, horizon=4), scenario)
+    status, seconds = exit_status("import sys\nfrom epitest.cli import main\n",
+                                  "main(sys.argv[1:])", verb, "--scenario", scenario,
+                                  "--out-dir", tmp_path)
+    assert status == cli.EXIT_CAP and seconds < 1.0, (status, seconds)
 
 
 class TestTrace:
