@@ -28,7 +28,6 @@ from .beliefs import (
 )
 from .errors import (
     ContractViolation,
-    CoverageError,
     DimensionError,
     EpitestError,
     InconsistentObservationError,

@@ -15,7 +15,7 @@ between the bounds certifies the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .beliefs import SUM_TOLERANCE, Belief, as_dense
-from .errors import CoverageError, SizeCapError, ValidationError
+from .errors import InternalInconsistency, SizeCapError, ValidationError
 from .exact import (
     AlphaSet,
     ValueFunction,
@@ -31,6 +31,7 @@ from .exact import (
     _terminal_set,
     exact_backup,
     pulled_back,
+    stage_slice,
 )
 from .model import (
     ContactGraph,
@@ -55,42 +56,80 @@ BRACKET_TOL = 1e-9  # a tighter gap is tight; bounds may cross or miss the oracl
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)  # grids compare by identity: ``points`` is an array
 class BeliefGrid:
     """Belief points on the 2**n simplex: the 2**n point masses, implicit,
-    then the interior ``points`` given.
+    then the interior ``points`` given, and the hull values they carry.
 
     Row r < 2**n is the point mass on state r, so every belief lies in the
-    grid's hull, which the lower bound needs; row 2**n + j is ``points[j]``,
-    a point mass given again included. ``interior`` stacks ``points``.
+    grid's hull; row 2**n + j is ``points[j]``, a point mass given again
+    included. ``points`` is stored as one float (R, 2**n) array.
     ``descriptor`` records how the points were generated, for provenance in
-    reports.
+    reports. ``corner_backup`` holds when every interior point has more than
+    n + 1 support states: a corner's child has at most n + 1, so no interior
+    point fits it, and the lower bound's corner rows are one backup.
     """
 
     n: int
-    points: list  # the interior points: dense arrays of length 2**n
+    points: np.ndarray  # the interior points, one row of length 2**n each
     descriptor: str
 
     def __post_init__(self):
-        size = 1 << self.n
         for k, pt in enumerate(self.points):
-            if len(pt) != size:
-                raise ValidationError(f"grid point {k} has {len(pt)} entries, "
-                                      f"expected 2**{self.n} = {size}")
-            bad = np.flatnonzero(~(np.isfinite(pt) & (np.asarray(pt) >= 0.0)))
-            if len(bad):
-                raise ValidationError(f"grid point {k} has a negative or non-finite entry: "
-                                      f"state {bad[0]} holds {pt[bad[0]]}")
-            if abs(np.sum(pt) - 1.0) > SUM_TOLERANCE:
-                raise ValidationError(f"grid point {k} has mass {np.sum(pt)}, expected 1")
-        self.interior = np.reshape(np.asarray(self.points, dtype=float), (-1, size))
+            _check_distribution(pt, self.n, f"grid point {k}")
+        self.points = np.reshape(np.asarray(self.points, dtype=float), (-1, 1 << self.n))
+        self.corner_backup = bool((np.count_nonzero(self.points, axis=1) > self.n + 1).all())
 
     def dots(self, vectors: np.ndarray) -> np.ndarray:
         """Each row of ``vectors`` at each point, shaped (len(vectors), len(grid))."""
-        return np.hstack([vectors, (self.interior @ vectors.T).T])
+        return np.hstack([vectors, (self.points @ vectors.T).T])
 
     def __len__(self):
         return (1 << self.n) + len(self.points)
+
+    def split(self, values: np.ndarray):
+        """(corner values v_c by state, the interior points' gains v_j - g_j.v_c)."""
+        v_c = values[: 1 << self.n]
+        return v_c, values[v_c.size:] - self.points @ v_c
+
+    def plane(self, c: np.ndarray) -> np.ndarray:
+        """Grid values of the least plane in the rows of ``c`` (or of 1-D ``c``)."""
+        return self.dots(np.atleast_2d(c)).min(axis=0)
+
+    def flat(self, values: np.ndarray) -> bool:
+        """``corner_backup`` holds and no grid value lies above the plane
+        through the corner values (no gain > 0, an exact comparison)."""
+        return self.corner_backup and not (self.split(values)[1] > 0.0).any()
+
+    def hull_value(self, b, values) -> float:
+        """Best value of belief b as a convex combination of grid points
+        carrying ``values``.
+
+        A corner's weight is b_s minus the interior weights' mass on s, so
+        the value is b.v_c + max gain.mu over mu >= 0, G^T mu <= b. Only
+        points inside supp(b) with gain > 0 can take weight; with none left
+        there is no LP. mu = 0 is feasible, so a failed LP is the solver's
+        failure. The LP's mu is clipped to >= 0 and scaled until each corner
+        weight is >= 0, so the value is certified to rounding, not to
+        HiGHS's 1e-7.
+        """
+        b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
+        _check_distribution(b, self.n, "belief")
+        inside, (v_c, gain) = b > 0.0, self.split(values)
+        keep = ~self.points[:, ~inside].any(axis=1) & (gain > 0.0)
+        g, b_in = self.points[keep][:, inside].T, b[inside]
+        base = float(b_in @ v_c[inside])
+        if not keep.any():
+            return base
+        res = linprog(-gain[keep], A_ub=g, b_ub=b_in, bounds=(0.0, None), method="highs")
+        if res.status != 0:
+            raise InternalInconsistency(
+                f"hull LP over {g.shape[1]} points of grid {self.descriptor!r} failed for a "
+                f"belief with support {b_in.size} of {b.size} states: status {res.status}, "
+                f"{res.message}")
+        mu = np.maximum(res.x, 0.0)  # a feasible mu: clipped, then scaled by
+        alpha = (b_in / np.maximum(g @ mu, b_in)).min()  # alpha = min(1, min_s b_s / (G^T mu)_s)
+        return base + float(alpha * (gain[keep] @ mu))
 
     @classmethod
     def corners(cls, n: int) -> "BeliefGrid":
@@ -118,11 +157,28 @@ class BeliefGrid:
         return nested_grid_ladder(n, [r], seed)[0]
 
 
+def _check_distribution(pt, n: int, name: str):
+    """A ValidationError naming ``name`` unless pt is a distribution on the 2**n states."""
+    size = 1 << n
+    pt = np.asarray(pt, dtype=float)
+    if pt.shape != (size,):
+        raise ValidationError(f"{name} has {pt.size} entries, expected 2**{n} = {size}")
+    bad = np.flatnonzero(~(np.isfinite(pt) & (pt >= 0.0)))
+    if len(bad):
+        raise ValidationError(f"{name} has a negative or non-finite entry: "
+                              f"state {bad[0]} holds {pt[bad[0]]}")
+    if abs(np.sum(pt) - 1.0) > SUM_TOLERANCE:
+        raise ValidationError(f"{name} has mass {np.sum(pt)}, expected 1")
+
+
 def nested_grid_ladder(n: int, sizes: Sequence[int], seed: int):
     """Grids sharing one random draw: each holds the first R uniform-random
     interior points, so larger grids are supersets of smaller ones. Refuses
-    N > ``DEFAULT_MAX_N`` before drawing any point."""
+    N > ``DEFAULT_MAX_N`` and a negative R before drawing any point."""
     _check_size(n)
+    for r in sizes:
+        if r < 0:
+            raise ValidationError(f"grid sizes must be >= 0, got {r}")
     rng = np.random.default_rng(seed)
     master = [rng.dirichlet(np.ones(1 << n)) for _ in range(max(sizes, default=0))]
     return [BeliefGrid(n, master[:r], f"corner+uniform-random({r},seed={seed})") for r in sizes]
@@ -150,7 +206,7 @@ def point_backup(next_sets: Mapping[Quarantine, AlphaSet], g: ContactGraph, q: Q
         picks = [np.ravel_multi_index([a.argmin(axis=0) for a in at], shape)]
         if max(shape) > 1:  # else no branch has a second row to tie
             least = [a[:, size:].min(axis=0) for a in at]
-            slack = TIE_RTOL * (grid.interior @ rows + sum(least))
+            slack = TIE_RTOL * (grid.points @ rows + sum(least))
             near = [a[:, size:] <= m + slack for a, m in zip(at, least)]
             for j in np.flatnonzero(sum(m.sum(axis=0) for m in near) > len(near)):
                 tied = np.ix_(*[np.flatnonzero(m[:, j]) for m in near])
@@ -190,60 +246,6 @@ def approx_solve_upper(cfg: ScenarioConfig, grid: BeliefGrid) -> ValueFunction:
 # ---------------------------------------------------------------------------
 
 
-class _HullInterpolator:
-    """Best certified value of a belief as a convex combination of grid points.
-
-    A corner's weight is b_s minus the interior weights' mass on s, so with
-    corner values v_c and gain_j = v_j - g_j.v_c the value is b.v_c + max
-    gain.mu over mu >= 0, G^T mu <= b. Only points inside supp(b) with
-    gain_j > 0 can take weight; with none left there is no LP. mu = 0 is
-    feasible, so a failed LP is the solver's failure, not a belief outside
-    the hull. The LP's mu is clipped to >= 0 and scaled until each corner
-    weight is >= 0, so the value is certified to rounding, not to HiGHS's 1e-7.
-    """
-
-    def __init__(self, grid: BeliefGrid):
-        self.grid = grid
-        # A corner's child has at most n + 1 support states, so no interior point with
-        # more fits it: then corner rows are one backup.
-        self.corner_backup = bool((np.count_nonzero(grid.interior, axis=1) > grid.n + 1).all())
-
-    def split(self, values: np.ndarray):
-        """(corner values v_c by state, the interior points' gains)."""
-        v_c = values[: 1 << self.grid.n]
-        return v_c, values[v_c.size:] - self.grid.interior @ v_c
-
-    def plane(self, c: np.ndarray) -> np.ndarray:
-        """Grid values of the least plane in the rows of ``c`` (or of 1-D ``c``)."""
-        return self.grid.dots(np.atleast_2d(c)).min(axis=0)
-
-    def flat(self, values: np.ndarray) -> bool:
-        """``corner_backup`` holds and no grid value lies above the plane
-        through the corner values (no gain > 0, an exact comparison)."""
-        return self.corner_backup and not (self.split(values)[1] > 0.0).any()
-
-    def value(self, b: np.ndarray, values: np.ndarray) -> float:
-        b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
-        support = f"support {np.count_nonzero(b)} of {b.size} states"
-        if b.shape != (1 << self.grid.n,) or b.min() < 0.0 or abs(b.sum() - 1) > SUM_TOLERANCE:
-            raise CoverageError(b, f"belief with {support} is outside the hull of grid "
-                                   f"{self.grid.descriptor!r} ({len(self.grid)} points)")
-        inside, (v_c, gain) = b > 0.0, self.split(values)
-        keep = ~self.grid.interior[:, ~inside].any(axis=1) & (gain > 0.0)
-        g, b_in = self.grid.interior[keep][:, inside].T, b[inside]
-        base = float(b_in @ v_c[inside])
-        if not keep.any():
-            return base
-        res = linprog(-gain[keep], A_ub=g, b_ub=b_in, bounds=(0.0, None), method="highs")
-        if res.status != 0:
-            raise CoverageError(b, f"hull LP over {g.shape[1]} points of grid "
-                                   f"{self.grid.descriptor!r} failed for a belief with "
-                                   f"{support}: status {res.status}, {res.message}")
-        mu = np.maximum(res.x, 0.0)  # a feasible mu: clipped, then scaled by
-        alpha = (b_in / np.maximum(g @ mu, b_in)).min()  # alpha = min(1, min_s b_s / (G^T mu)_s)
-        return base + float(alpha * (gain[keep] @ mu))
-
-
 @dataclass
 class LowerBound:
     """Grid-value tables per (stage, quarantine); lies below the true value
@@ -253,13 +255,12 @@ class LowerBound:
     horizon: int
     grid: BeliefGrid
     tables: dict  # (t, frozenset) -> np.ndarray of per-point values
-    _interp: _HullInterpolator = field(repr=False)
 
     def grid_values(self, t: int, q: Quarantine = EMPTY_QUARANTINE) -> np.ndarray:
-        return self.tables[(t, frozenset(q))]
+        return stage_slice(self.tables, self.n, self.horizon, t, q)
 
     def value(self, t: int, b, q: Quarantine = EMPTY_QUARANTINE) -> float:
-        return self._interp.value(as_dense(b, 1 << self.n), self.grid_values(t, q))
+        return self.grid.hull_value(as_dense(b, 1 << self.n), self.grid_values(t, q))
 
 
 def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
@@ -280,44 +281,43 @@ def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
 
 
 def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
-    """Backward recursion restricted to grid points. When the interpolator's
+    """Backward recursion restricted to grid points. When the grid's
     ``corner_backup`` holds, every corner child settles as b.v_c, so the
     corner rows of each (t, q) table are ``a.min(axis=0)`` over the vectors a
     of one :func:`exact_backup` of the stage-(t+1) corner values, and only
     the interior rows are interpolated; otherwise every row is. When every
     next table the backup reaches is also flat, weak duality makes each
     interpolant its corner plane, so the interior rows are
-    ``(interior @ a.T).min(axis=1)`` and no LP is solved. Terminal tables
-    come from the same :meth:`_HullInterpolator.plane`, so they are flat bit
-    for bit. Raises CoverageError (naming the LP's status and the belief's
-    support size) if HiGHS fails on a hull LP.
+    ``(points @ a.T).min(axis=1)`` and no LP is solved. Terminal tables
+    come from the same :meth:`BeliefGrid.plane`, so they are flat bit for
+    bit. Raises InternalInconsistency (naming the LP's status and the
+    belief's support size) if HiGHS fails on a hull LP.
     """
     _check_size(cfg.n, grid)
     c, size = infection_counts(cfg.n), 1 << cfg.n
-    interp = _HullInterpolator(grid)
 
     def backup(nxt, g, q):  # stage-(t+1) grid values nxt, interpolated at each child
         branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
         vals, rows = np.empty(len(grid)), range(len(grid))
-        if interp.corner_backup:  # the sets' stage label, t=0, is never read
-            sets = {q_next: AlphaSet(interp.split(nxt[q_next])[0][None], [0], 0, q_next)
+        if grid.corner_backup:  # the sets' stage label, t=0, is never read
+            sets = {q_next: AlphaSet(grid.split(nxt[q_next])[0][None], [0], 0, q_next)
                     for bs in branch_sets.values() for _, q_next, _ in bs}
-            vals = interp.plane(exact_backup(sets, g, q, cfg.p, cfg.lam).values)
-            if all(interp.flat(nxt[q_next]) for q_next in sets):
+            vals = grid.plane(exact_backup(sets, g, q, cfg.p, cfg.lam).values)
+            if all(grid.flat(nxt[q_next]) for q_next in sets):
                 return vals  # every child's interpolant is its corner plane
             rows = range(size, len(grid))
         for r in rows:
-            bf = grid.interior[r - size] if r >= size else np.eye(1, size, r)[0]
+            bf = grid.points[r - size] if r >= size else np.eye(1, size, r)[0]
             _, best = one_step_min(
                 cfg.n, q, cfg.lam,
                 lambda u: _branch_children(bf, u, branch_sets[u], cfg.n),
-                lambda child, q_next: interp.value(child, nxt[q_next]),
+                lambda child, q_next: grid.hull_value(child, nxt[q_next]),
             )
             vals[r] = float(bf @ c) + best
         return vals
 
-    tables = _backward_induction(cfg, lambda q: interp.plane(c), backup)
-    return LowerBound(cfg.n, cfg.horizon, grid, tables, interp)
+    tables = _backward_induction(cfg, lambda q: grid.plane(c), backup)
+    return LowerBound(cfg.n, cfg.horizon, grid, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ and trace export.
 
 Verbs: validate, solve-exact, solve-approx, bench, sandwich, trace. Exit
 codes: 0 success, 2 validation failure, 3 solver cap exceeded, 4 internal
-inconsistency (a bound cross-check failed).
+inconsistency (a bound cross-check failed, or HiGHS could not solve a hull
+LP).
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import BRACKET_TOL, BeliefGrid, approx_solve_lower, approx_solve_upper
-from .errors import (
-    CoverageError,
-    InternalInconsistency,
-    SizeCapError,
-    ValidationError,
-)
+from .errors import InternalInconsistency, SizeCapError, ValidationError
 from .exact import save_value_function, solve
 from .harness import (
     run_benchmark,
@@ -182,16 +178,12 @@ def cmd_sandwich(args) -> int:
     rows = run_sandwich_report(cfg, grid_sizes, _count(args.probes, "--probes", 1))
     write_sandwich_report(rows, cfg, Path(args.out_dir))
     bad = [r for r in rows if r.status in ("sandwich_violation", "oracle_outside")]
-    coverage = [r for r in rows if r.status == "coverage"]
     per_r = {}
     for r in rows:
-        if r.gap is not None:
-            per_r.setdefault(r.R, []).append(r.gap)
+        per_r.setdefault(r.R, []).append(r.gap)
     for R in sorted(per_r):
         gaps = per_r[R]
         print(f"R={R}: mean gap={np.mean(gaps):.6f} max gap={np.max(gaps):.6f}")
-    if coverage:
-        print(f"coverage errors on {len(coverage)} rows")
     print(f"written: {Path(args.out_dir) / 'sandwich.csv'}")
     if bad:
         raise InternalInconsistency(
@@ -229,7 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, CoverageError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SizeCapError as exc:

@@ -26,17 +26,7 @@ class SizeCapError(EpitestError, RuntimeError):
     """Problem size exceeds a solver's enumeration cap."""
 
 
-class CoverageError(EpitestError, ValueError):
-    """A belief cannot be valued on an interpolation grid: it is not a
-    distribution over the grid's states, or the hull LP failed."""
-
-    def __init__(self, belief_dense, message=None):
-        self.belief_dense = belief_dense
-        if message is None:
-            message = f"belief not covered by interpolation grid: {belief_dense}"
-        super().__init__(message)
-
-
 class InternalInconsistency(EpitestError, RuntimeError):
-    """A cross-check that should hold by construction failed (for example a
-    lower bound exceeding an upper bound)."""
+    """A property that should hold by construction failed (for example a
+    lower bound exceeding an upper bound, or HiGHS failing on a hull LP that
+    is always feasible and bounded)."""

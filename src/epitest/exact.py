@@ -215,7 +215,7 @@ class ValueFunction:
     table: dict  # (t, frozenset) -> AlphaSet
 
     def alpha_set(self, t: int, q: Quarantine = EMPTY_QUARANTINE) -> AlphaSet:
-        return self.table[(t, frozenset(q))]
+        return stage_slice(self.table, self.n, self.horizon, t, q)
 
     @property
     def stage_sets(self):
@@ -223,6 +223,24 @@ class ValueFunction:
 
     def value(self, t: int, b, q: Quarantine = EMPTY_QUARANTINE) -> float:
         return evaluate(self.alpha_set(t, q), b).value
+
+
+def check_stage(t: int, q: Quarantine, horizon: int) -> None:
+    """A ValidationError naming t and q unless 1 <= t <= horizon."""
+    if not 1 <= t <= horizon:
+        raise ValidationError(f"stage t = {t} (quarantine {sorted(q)}) is outside [1, {horizon}]")
+
+
+def stage_slice(table: dict, n: int, horizon: int, t: int, q: Quarantine):
+    """``table[(t, q)]`` of a backward sweep, or a ValidationError naming t, q
+    and the slices held."""
+    try:
+        return table[(t, frozenset(q))]
+    except KeyError:
+        check_stage(t, q, horizon)
+        held = sum(tt == t for tt, _ in table)
+        raise ValidationError(f"no slice for quarantine {sorted(q)} at stage t = {t}: it holds "
+                              f"the {held} sets of at most {t - 1} of individuals 1..{n}") from None
 
 
 def _reachable_quarantines(n: int, max_size: int):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .approx import BRACKET_TOL, nested_grid_ladder, sandwich
-from .errors import CoverageError, SizeCapError
+from .errors import SizeCapError
 from .oracle import oracle_value
 from .policies import OpenLoopPlan, make_policy
 from .presets import probe_beliefs
@@ -119,15 +119,13 @@ class SandwichReportRow:
     R: int
     stage: int
     probe: int
-    lower: Optional[float]
-    upper: Optional[float]
-    oracle: Optional[float]
-    status: str  # ok | coverage | sandwich_violation | oracle_outside
+    lower: float
+    upper: float
+    oracle: Optional[float]  # None when the oracle is out of reach
+    status: str  # ok | sandwich_violation | oracle_outside
 
     @property
-    def gap(self) -> Optional[float]:
-        if self.lower is None or self.upper is None:
-            return None
+    def gap(self) -> float:
         return self.upper - self.lower
 
 
@@ -149,13 +147,7 @@ def run_sandwich_report(cfg: ScenarioConfig, grid_sizes: Sequence[int], probe_co
     oracle_cache = {}
     rows = []
     for R, grid in zip(grid_sizes, grids):
-        try:
-            sw = sandwich(cfg, grid, probes)
-        except CoverageError:
-            for t in range(1, cfg.horizon + 1):
-                for pi in range(len(probes)):
-                    rows.append(SandwichReportRow(R, t, pi, None, None, None, "coverage"))
-            continue
+        sw = sandwich(cfg, grid, probes)
         violated = {(row.t, row.probe) for row in sw.violations}
         for row in sw.rows:
             oracle_val = None

@@ -28,7 +28,7 @@ from .beliefs import (
     predict_belief,
 )
 from .errors import ContractViolation, ValidationError
-from .exact import solve
+from .exact import check_stage, solve
 from .model import (
     ContactGraph,
     EMPTY_QUARANTINE,
@@ -217,6 +217,7 @@ class OpenLoopValue:
         if key in self._alphas:
             return self._alphas[key]
         cfg = self.cfg
+        check_stage(t, q, cfg.horizon)
         free = [k for k in range(1, cfg.n + 1) if k not in q]
         vec = len(q) + infection_counts(len(free))
         if t < cfg.horizon:
@@ -234,6 +235,7 @@ class OpenLoopValue:
 
     def value(self, t, b, q=EMPTY_QUARANTINE):
         q = frozenset(q)
+        vec = self.alpha(t, q)
         n, held = self.cfg.n, quarantine_mask(q)
         dense = as_dense(b, 1 << n)
         support = np.flatnonzero(dense)
@@ -247,7 +249,7 @@ class OpenLoopValue:
             )
         full = np.zeros(1 << n)
         face = tuple(1 if n - d in q else slice(None) for d in range(n))
-        full.reshape((2,) * n)[face] = self.alpha(t, q).reshape((2,) * (n - len(q)))
+        full.reshape((2,) * n)[face] = vec.reshape((2,) * (n - len(q)))
         return float(full @ dense)
 
 
@@ -332,6 +334,7 @@ class GreedyStageValue:
 
     def value(self, t, b, q):
         cfg = self.cfg
+        check_stage(t, q, cfg.horizon)
         stage = expected_infections(b)
         if t >= cfg.horizon:
             return stage

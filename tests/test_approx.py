@@ -9,7 +9,6 @@ from epitest import approx
 from epitest.approx import (
     BeliefGrid,
     _branch_children,
-    _HullInterpolator,
     approx_solve_lower,
     approx_solve_upper,
     nested_grid_ladder,
@@ -17,7 +16,7 @@ from epitest.approx import (
     sandwich,
 )
 from epitest.beliefs import Belief
-from epitest.errors import CoverageError, SizeCapError, ValidationError
+from epitest.errors import InternalInconsistency, SizeCapError, ValidationError
 from epitest.exact import (
     AlphaSet,
     _backward_induction,
@@ -47,7 +46,7 @@ EMPTY = frozenset()
 
 def every_row(grid):
     """The grid's rows as one dense matrix: its 2**n corners, then its points."""
-    return np.vstack([np.eye(2**grid.n), grid.interior])
+    return np.vstack([np.eye(2**grid.n), grid.points])
 
 
 def config(n, horizon, p, lam, edges, seed=0):
@@ -80,6 +79,10 @@ class TestGrids:
         g2, g4 = nested_grid_ladder(2, [2, 4], seed=9)
         assert len(g2) == 4 + 2 and len(g4) == 4 + 4
         assert np.array_equal(every_row(g2), every_row(g4)[: len(g2)])
+
+    def test_nested_ladder_refuses_a_negative_size(self):
+        with pytest.raises(ValidationError, match=r"^grid sizes must be >= 0, got -2$"):
+            nested_grid_ladder(3, [5, -2], 1)
 
     def test_dimension_check(self):
         message = r"grid point 1 has 3 entries, expected 2\*\*2 = 4"
@@ -313,11 +316,11 @@ def beliefs_for(grid, rng):
 
 def duplicated_corner_grid(n, seed):
     interior = BeliefGrid.corners_plus_random(n, 2, seed).points
-    return BeliefGrid(n, [np.eye(1 << n)[0]] + interior, "duplicated-corner")
+    return BeliefGrid(n, [np.eye(1 << n)[0], *interior], "duplicated-corner")
 
 
 class TestHullInterpolator:
-    """The interpolator, with its support rule, against the plain LP."""
+    """`BeliefGrid.hull_value`, with its support rule, against the plain LP."""
 
     GRIDS = (
         [nested_grid_ladder(n, [3], seed=40 + n)[0] for n in (2, 3, 4, 5)]
@@ -329,21 +332,22 @@ class TestHullInterpolator:
     def test_matches_plain_lp(self, grid):
         rng = np.random.default_rng(len(grid))
         values = rng.uniform(0.0, grid.n, size=len(grid))
-        interp = _HullInterpolator(grid)
         for b in beliefs_for(grid, rng):
-            assert abs(interp.value(b, values) - reference_hull_value(grid, b, values)) <= 1e-12
+            assert abs(grid.hull_value(b, values) - reference_hull_value(grid, b, values)) <= 1e-12
 
     def test_duplicated_corner_takes_the_better_copy(self):
         grid = BeliefGrid(1, [np.array([1.0, 0.0])], "duplicated-corner")
         b = np.array([0.25, 0.75])
-        assert _HullInterpolator(grid).value(b, np.array([3.0, 2.0, 1.0])) == pytest.approx(
+        assert grid.hull_value(b, np.array([3.0, 2.0, 1.0])) == pytest.approx(
             0.25 * 3.0 + 0.75 * 2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("b", [[0.5, 0.0, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0]],
-                             ids=["half-mass", "negative-entry"])
-    def test_non_distribution_is_left_to_the_lp(self, b):
-        with pytest.raises(CoverageError):
-            _HullInterpolator(BeliefGrid.corners(2)).value(np.array(b), np.ones(4))
+    @pytest.mark.parametrize("b, named", [
+        ([0.5, 0.0, 0.0, 0.0], "mass 0.5, expected 1"),
+        ([1.5, -0.5, 0.0, 0.0], "a negative or non-finite entry: state 1 holds -0.5"),
+    ], ids=["half-mass", "negative-entry"])
+    def test_non_distribution_is_left_to_the_lp(self, b, named):
+        with pytest.raises(ValidationError, match=f"^belief has {named}"):
+            BeliefGrid.corners(2).hull_value(np.array(b), np.ones(4))
 
     def test_failed_lp_names_its_status_and_the_support(self, monkeypatch):
         # mu = 0 is feasible on every grid, so a non-zero status is the
@@ -352,17 +356,16 @@ class TestHullInterpolator:
             status=4, message="Numerical difficulties encountered", x=None))
         grid = BeliefGrid(2, [np.full(4, 0.25)], "center-only")
         b = np.array([0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(CoverageError, match="status 4, Numerical difficulties") as info:
-            _HullInterpolator(grid).value(b, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(InternalInconsistency, match="status 4, Numerical difficulties") as info:
+            grid.hull_value(b, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         assert "support 4 of 4 states" in str(info.value)
-        assert np.array_equal(info.value.belief_dense, b)
 
     def test_lower_bound_tables_match_the_plain_lp(self, monkeypatch):
         cfg = scenario_c()
         grid = BeliefGrid.corners_plus_random(2, 4, seed=1)
         settled = approx_solve_lower(cfg, grid)
-        monkeypatch.setattr(_HullInterpolator, "value",
-                            lambda self, b, values: reference_hull_value(self.grid, b, values))
+        monkeypatch.setattr(BeliefGrid, "hull_value",
+                            lambda self, b, values: reference_hull_value(self, b, values))
         plain = approx_solve_lower(cfg, grid)
         assert settled.tables.keys() == plain.tables.keys()
         for key, vals in plain.tables.items():
@@ -377,7 +380,7 @@ def test_hull_values_are_certified(monkeypatch):
     cfg = ring_scenario(7, 0.3, chord_seed=1, horizon=6)
     grid = nested_grid_ladder(7, [8], 601)[0]  # its corners come first, in state order
     solved, excess = [], []
-    real_linprog, real_value = approx.linprog, _HullInterpolator.value
+    real_linprog, real_value = approx.linprog, BeliefGrid.hull_value
 
     def capturing(c, **kwargs):
         res = real_linprog(c, **kwargs)
@@ -397,7 +400,7 @@ def test_hull_values_are_certified(monkeypatch):
         return out
 
     monkeypatch.setattr(approx, "linprog", capturing)
-    monkeypatch.setattr(_HullInterpolator, "value", checking)
+    monkeypatch.setattr(BeliefGrid, "hull_value", checking)
     approx_solve_lower(cfg, grid)
     assert len(excess) > 500
     assert max(excess) <= 1e-12, max(excess)
@@ -407,7 +410,6 @@ def per_point_tables(cfg, grid):
     """The lower bound's tables with every row, corners included, from the
     per-point loop: one_step_min over the branch children, interpolated."""
     c = infection_counts(cfg.n)
-    interp = _HullInterpolator(grid)
 
     def backup(nxt, g, q):
         vals = []
@@ -415,7 +417,7 @@ def per_point_tables(cfg, grid):
             _, best = one_step_min(
                 cfg.n, q, cfg.lam,
                 lambda u: _branch_children(bf, u, branches(g, q, u, cfg.p), cfg.n),
-                lambda child, q_next: interp.value(child, nxt[q_next]),
+                lambda child, q_next: grid.hull_value(child, nxt[q_next]),
             )
             vals.append(float(bf @ c) + best)
         return np.array(vals)
@@ -443,7 +445,7 @@ class TestCornerRows:
         real = approx.exact_backup
         monkeypatch.setattr(approx, "exact_backup", lambda *args: calls.append(1) or real(*args))
         lb = approx_solve_lower(cfg, grid)
-        assert _HullInterpolator(grid).corner_backup == from_backup
+        assert grid.corner_backup == from_backup
         assert len(calls) == (len(lb.tables) - len(_reachable_quarantines(cfg.n, cfg.horizon - 1))
                               if from_backup else 0)  # one per (t, q) below the horizon
         reference = per_point_tables(cfg, grid)
@@ -453,14 +455,13 @@ class TestCornerRows:
 
     def test_interpolator_keeps_no_state_across_calls(self):
         grid = self.LADDERS[1]
-        interp = _HullInterpolator(grid)
-        before = dict(vars(interp))
+        before = dict(vars(grid))
         rng = np.random.default_rng(5)
         values = rng.uniform(0.0, 3.0, size=len(grid))
         for b in beliefs_for(grid, rng) * 2:
-            interp.value(b, values)
-        assert vars(interp).keys() == before.keys()
-        assert all(vars(interp)[k] is v for k, v in before.items())
+            grid.hull_value(b, values)
+        assert vars(grid).keys() == before.keys()
+        assert all(vars(grid)[k] is v for k, v in before.items())
 
 
 class TestFlatTables:
@@ -507,13 +508,12 @@ class TestFlatTables:
         assert per_stage == {}
 
     def test_flatness_check_is_exact(self, per_stage, monkeypatch):
-        interp = _HullInterpolator(self.GRID)
-        last = interp.plane(infection_counts(self.CFG.n))  # a terminal table
-        assert interp.flat(last)
+        last = self.GRID.plane(infection_counts(self.CFG.n))  # a terminal table
+        assert self.GRID.flat(last)
         raised = last.copy()
         raised[-1] += 1e-9  # the last point is interior
-        assert not interp.flat(raised)
-        assert not _HullInterpolator(BeliefGrid.regular(2, 2)).flat(np.zeros(10))
+        assert not self.GRID.flat(raised)
+        assert not BeliefGrid.regular(2, 2).flat(np.zeros(10))
 
         sweep = approx._backward_induction
         monkeypatch.setattr(approx, "_backward_induction", lambda cfg, terminal, backup: sweep(

@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
-from epitest import cli
+from epitest import approx, cli
 from epitest.cli import main
 from epitest.exact import load_value_function, solve
 from epitest.harness import SandwichReportRow
@@ -161,6 +162,21 @@ class TestSandwich:
                      "--probes", "10", "--out-dir", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "sandwich.csv").read_bytes()).hexdigest() == (
             "b0121a681b08c35ee613a656f659223689c161a5b5ca9bffe25a7ea99a36c845")
+
+
+@pytest.mark.parametrize("verb", ["sandwich", "solve-approx"])
+def test_failed_hull_lp_exits_4_naming_status_and_support(verb, scenario_dir, tmp_path,
+                                                          monkeypatch, capsys):
+    # every grid spans the simplex, so a failed LP is the solver failing,
+    # not a belief outside the hull: no verb reports it as anything else
+    monkeypatch.setattr(approx, "linprog", lambda c, **kwargs: SimpleNamespace(
+        status=4, message="Numerical difficulties encountered", x=None))
+    assert main([verb, "--scenario", scenario_path(scenario_dir, "scenario_c.yaml"),
+                 "--out-dir", str(tmp_path)]) == cli.EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: hull LP over "), err
+    assert "status 4, Numerical difficulties" in err and "support 4 of 4 states" in err, err
+    assert not (tmp_path / "sandwich.csv").exists()
 
 
 @pytest.mark.parametrize("verb", ["sandwich", "solve-approx"])

@@ -161,6 +161,35 @@ class TestSurrogateDimensions:
         with pytest.raises(DimensionError, match=r"belief dimension 4 != value dimension 8"):
             surrogate.value(1, Belief.uniform(2), EMPTY)
 
+
+class TestSurrogateStages:
+    """Every stage-value surrogate refuses a stage outside [1, T], and the
+    tabled ones a quarantine set they hold no slice for, naming t and q."""
+
+    SURROGATES = {
+        **TestSurrogateDimensions.SURROGATES,
+        "greedy_stage": GreedyStageValue,
+    }
+
+    @pytest.mark.parametrize("name", SURROGATES)
+    def test_rejects_a_stage_outside_the_horizon(self, name):
+        cfg = scenario_a()  # T = 4
+        surrogate = self.SURROGATES[name](cfg)
+        for t in (0, cfg.horizon + 1, 9):
+            with pytest.raises(ValidationError,
+                               match=rf"^stage t = {t} \(quarantine \[2\]\) is outside \[1, 4\]$"):
+                surrogate.value(t, cfg.initial_belief, frozenset({2}))
+
+    @pytest.mark.parametrize("name", ["value_function", "lower_bound"])
+    def test_rejects_a_quarantine_with_no_slice(self, name):
+        # stage 2 holds the quarantine sets of at most one individual
+        surrogate = self.SURROGATES[name](scenario_a())
+        for q in ({1, 2}, {7}):
+            with pytest.raises(ValidationError, match=(
+                    rf"^no slice for quarantine \[{', '.join(map(str, sorted(q)))}\] at stage "
+                    r"t = 2: it holds the 4 sets of at most 1 of individuals 1..3$")):
+                surrogate.value(2, Belief(3, {0b111: 1.0}), frozenset(q))
+
 def full_open_loop_alphas(plan, cfg):
     """(alpha, memo): the open-loop recursion over the whole state space, as
     it stood before the vectors moved to quarantine faces. ``alpha(t, q)``
