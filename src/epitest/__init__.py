@@ -51,7 +51,6 @@ from .model import (
     Quarantine,
     SystemState,
     active_subgraph,
-    infection_flows,
     sample_active_edge,
     transmit_with_uniform,
 )

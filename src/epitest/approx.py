@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -327,10 +327,14 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
 
 @dataclass
 class GapRow:
+    """Both bounds at probe belief ``probe`` and stage t on a grid of R interior points."""
+
+    R: int
     t: int
     probe: int
     lower: float
     upper: float
+    oracle: Optional[float] = None  # the true value there, when computed
 
     @property
     def gap(self) -> float:
@@ -340,6 +344,17 @@ class GapRow:
     def tight(self) -> bool:
         return self.gap < BRACKET_TOL
 
+    @property
+    def status(self) -> str:
+        """``sandwich_violation`` if the lower bound crosses the upper,
+        else ``oracle_outside`` if the oracle misses the bracket, else ``ok``."""
+        if self.lower > self.upper + BRACKET_TOL:
+            return "sandwich_violation"
+        if self.oracle is not None and not (
+                self.lower - BRACKET_TOL <= self.oracle <= self.upper + BRACKET_TOL):
+            return "oracle_outside"
+        return "ok"
+
 
 @dataclass
 class SandwichResult:
@@ -348,24 +363,18 @@ class SandwichResult:
     upper: ValueFunction
     lower: LowerBound
     rows: list
-    violations: list  # rows where lower exceeded upper beyond tolerance
+
+    @property
+    def violations(self) -> list:
+        """Rows whose lower bound crosses the upper; empty by construction."""
+        return [row for row in self.rows if row.status == "sandwich_violation"]
 
 
 def sandwich(cfg: ScenarioConfig, grid: BeliefGrid, probes: Sequence[Belief]) -> SandwichResult:
-    """Compute both bounds and evaluate them at every probe and stage.
-
-    Rows where the lower bound exceeds the upper beyond BRACKET_TOL land in
-    ``violations``; by construction that list should stay empty, and a
-    non-empty one signals an internal inconsistency to the caller.
-    """
+    """Compute both bounds and evaluate them at every probe and stage, one
+    :class:`GapRow` each, stage by stage."""
     ub = approx_solve_upper(cfg, grid)
     lb = approx_solve_lower(cfg, grid)
-    rows = []
-    violations = []
-    for t in range(1, cfg.horizon + 1):
-        for pi, b in enumerate(probes):
-            row = GapRow(t, pi, lb.value(t, b), ub.value(t, b))
-            rows.append(row)
-            if row.lower > row.upper + BRACKET_TOL:
-                violations.append(row)
-    return SandwichResult(ub, lb, rows, violations)
+    rows = [GapRow(len(grid.points), t, pi, lb.value(t, b), ub.value(t, b))
+            for t in range(1, cfg.horizon + 1) for pi, b in enumerate(probes)]
+    return SandwichResult(ub, lb, rows)

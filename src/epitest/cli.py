@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import BRACKET_TOL, BeliefGrid, approx_solve_lower, approx_solve_upper
+from .approx import BeliefGrid, sandwich
 from .errors import InternalInconsistency, SizeCapError, ValidationError
 from .exact import save_value_function, solve
 from .harness import (
@@ -113,6 +113,14 @@ def _parse_plan(raw):
     return OpenLoopPlan(_int_list(raw, "--plan"))
 
 
+def _check_rows(rows, where: str = "") -> None:
+    """Raise InternalInconsistency naming the first bound row whose status is not ok."""
+    bad = [r for r in rows if r.status != "ok"]
+    if bad:
+        raise InternalInconsistency(f"{len(bad)} rows violate the bound ordering{where}, "
+                                    f"first {bad[0]}: {bad[0].status}")
+
+
 def cmd_validate(args) -> int:
     cfg = _load(args)
     print(f"ok: N={cfg.n} T={cfg.horizon} p={cfg.p} lambda={cfg.lam} "
@@ -136,13 +144,10 @@ def cmd_solve_approx(args) -> int:
     cfg = _load(args)
     size = _count(args.grid_size, "--grid-size")
     grid = BeliefGrid.corners_plus_random(cfg.n, size, cfg.seed)
-    ub = approx_solve_upper(cfg, grid)
-    lb = approx_solve_lower(cfg, grid)
-    b0 = cfg.initial_belief
-    lo, hi = lb.value(1, b0), ub.value(1, b0)
-    if lo > hi + BRACKET_TOL:
-        raise InternalInconsistency(f"lower bound {lo} exceeds upper bound {hi}")
-    print(f"bounds at initial belief: [{lo:.12g}, {hi:.12g}] gap={hi - lo:.12g} "
+    rows = sandwich(cfg, grid, [cfg.initial_belief]).rows
+    _check_rows(rows)
+    row = rows[0]  # stage 1
+    print(f"bounds at initial belief: [{row.lower:.12g}, {row.upper:.12g}] gap={row.gap:.12g} "
           f"grid={grid.descriptor}")
     return EXIT_OK
 
@@ -177,18 +182,11 @@ def cmd_sandwich(args) -> int:
     )
     rows = run_sandwich_report(cfg, grid_sizes, _count(args.probes, "--probes", 1))
     write_sandwich_report(rows, cfg, Path(args.out_dir))
-    bad = [r for r in rows if r.status in ("sandwich_violation", "oracle_outside")]
-    per_r = {}
-    for r in rows:
-        per_r.setdefault(r.R, []).append(r.gap)
-    for R in sorted(per_r):
-        gaps = per_r[R]
+    for R in sorted({r.R for r in rows}):
+        gaps = [r.gap for r in rows if r.R == R]
         print(f"R={R}: mean gap={np.mean(gaps):.6f} max gap={np.max(gaps):.6f}")
     print(f"written: {Path(args.out_dir) / 'sandwich.csv'}")
-    if bad:
-        raise InternalInconsistency(
-            f"{len(bad)} rows violate the bound ordering (see sandwich.csv), first {bad[0]}"
-        )
+    _check_rows(rows, " (see sandwich.csv)")
     return EXIT_OK
 
 

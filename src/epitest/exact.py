@@ -326,24 +326,36 @@ def save_value_function(vf: ValueFunction, path) -> None:
 
 def load_value_function(path) -> ValueFunction:
     """Read a file written by :func:`save_value_function`. Raises
-    ValidationError, naming the entry and the numbers, for a stage outside
+    ValidationError, naming the member, key, entry and numbers, for a header
+    that is not a JSON object, a missing member or header key, a stage outside
     [1, horizon], a quarantine with a vertex outside [1, n] or more than
     t - 1 members, a repeated (stage, quarantine) pair, an empty set,
     vectors not 2**n wide, a tag count that is not the vector count, tags
     outside [0, n], non-finite values, or a missing reachable slice.
     """
     with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("version") != _FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported value-function file version {header.get('version')}"
-            )
+        def member(name):
+            if name not in data.files:
+                raise ValidationError(f"value-function file has no {name!r} member")
+            return data[name]
+
+        raw = bytes(member("header"))
+        try:
+            header = json.loads(raw.decode())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationError(f"value-function header is not JSON: {exc}") from None
+        key = next((k for k in ("version", "n", "horizon", "entries")
+                    if not isinstance(header, dict) or k not in header), None)
+        if key is not None:
+            raise ValidationError(f"value-function header has no {key!r} key")
+        if header["version"] != _FORMAT_VERSION:
+            raise ValidationError(f"unsupported value-function file version {header['version']}")
         n, horizon = int(header["n"]), int(header["horizon"])
         table = {}
         first = {}  # (stage, quarantine) -> index of the entry that holds it
         for k, (t, qlist) in enumerate(header["entries"]):
             t, q = int(t), frozenset(int(u) for u in qlist)
-            values = data[f"values_{k}"]
+            values = member(f"values_{k}")
             where = f"value-function entry {k} (stage {t}, quarantine {sorted(q)})"
             if not 1 <= t <= horizon:
                 raise ValidationError(f"{where}: stage outside [1, {horizon}]")
@@ -358,7 +370,7 @@ def load_value_function(path) -> ValueFunction:
             if values.shape[1:] != (1 << n,) or not len(values):
                 raise ValidationError(f"{where}: vectors of shape {values.shape}, "
                                       f"expected one or more rows of width 2**{n} = {1 << n}")
-            aset = AlphaSet(values, data[f"actions_{k}"], t=t, quarantine=q)
+            aset = AlphaSet(values, member(f"actions_{k}"), t=t, quarantine=q)
             if not 0 <= aset.actions.min() <= aset.actions.max() <= n:
                 raise ValidationError(f"{where}: action tags span [{aset.actions.min()}, "
                                       f"{aset.actions.max()}], outside [0, {n}]")

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .approx import BRACKET_TOL, nested_grid_ladder, sandwich
+from .approx import nested_grid_ladder, sandwich
 from .errors import SizeCapError
 from .oracle import oracle_value
 from .policies import OpenLoopPlan, make_policy
@@ -66,22 +65,28 @@ def run_benchmark(
 ) -> list:
     """Evaluate every requested policy on the paired seeds of ``cfg.seed``.
 
-    Returns one (name, result, seconds) per policy, in request order. A
-    solver cap (for the exact row) gives that row no result and no time and
-    leaves the others untouched. Exact and approximate policies share the
-    environment seed stream with the baselines, so per-run costs are
-    directly comparable.
+    Returns one (name, result, seconds) per policy, in request order, its
+    seconds covering its build and its runs. Every policy is built before the
+    first run, so a bad name or plan fails first. A solver cap (for the exact
+    row) gives that row no result and no time and leaves the others untouched.
+    Exact and approximate policies share the environment seed stream with
+    the baselines, so per-run costs are directly comparable.
     """
-    out = []
+    built = []
     for name in policies:
         started = time.perf_counter()
         try:
-            policy = make_policy(name, cfg, plan=plan)
+            built.append((name, make_policy(name, cfg, plan=plan), time.perf_counter() - started))
         except SizeCapError:
+            built.append((name, None, None))
+    out = []
+    for name, policy, seconds in built:
+        if policy is None:
             out.append((name, None, None))
             continue
+        started = time.perf_counter()
         result = monte_carlo_eval(cfg, policy, n_runs, workers=workers)
-        out.append((name, result, time.perf_counter() - started))
+        out.append((name, result, seconds + time.perf_counter() - started))
     return out
 
 
@@ -114,29 +119,14 @@ def write_result_table(results: list, cfg: ScenarioConfig, n_runs: int, out_dir:
                ([name, _fmt(seconds)] for name, _, seconds in results))
 
 
-@dataclass
-class SandwichReportRow:
-    R: int
-    stage: int
-    probe: int
-    lower: float
-    upper: float
-    oracle: Optional[float]  # None when the oracle is out of reach
-    status: str  # ok | sandwich_violation | oracle_outside
-
-    @property
-    def gap(self) -> float:
-        return self.upper - self.lower
-
-
 def run_sandwich_report(cfg: ScenarioConfig, grid_sizes: Sequence[int], probe_count: int) -> list:
     """Bound gaps over a nested grid ladder; the empirical gap-versus-R curve.
 
-    Probes and grids are drawn from ``cfg.seed``. The oracle column is filled
-    when brute-force valuation is feasible, that is when (2(N+1))^(T-1), a
-    bound on the oracle's tree size, is at most 200,000; rows where it
-    escapes the bounds, or where :func:`approx.sandwich` reports the lower
-    bound above the upper, are marked so callers can fail loudly.
+    Returns the :class:`approx.GapRow` of every grid, stage and probe, in
+    that order. Probes and grids are drawn from ``cfg.seed``. Each row's
+    oracle is filled when brute-force valuation is feasible, that is when
+    (2(N+1))^(T-1), a bound on the oracle's tree size, is at most 200,000;
+    a row's ``status`` then also says whether the oracle escapes its bounds.
     """
     # first, so that the size cap is checked before any 2^N-sized draw
     grids = nested_grid_ladder(cfg.n, list(grid_sizes), seed=cfg.seed)
@@ -146,33 +136,21 @@ def run_sandwich_report(cfg: ScenarioConfig, grid_sizes: Sequence[int], probe_co
     include_oracle = (2 * (cfg.n + 1)) ** (cfg.horizon - 1) <= 200_000
     oracle_cache = {}
     rows = []
-    for R, grid in zip(grid_sizes, grids):
-        sw = sandwich(cfg, grid, probes)
-        violated = {(row.t, row.probe) for row in sw.violations}
-        for row in sw.rows:
-            oracle_val = None
+    for grid in grids:
+        for row in sandwich(cfg, grid, probes).rows:
             if include_oracle:
                 key = (row.t, row.probe)
                 if key not in oracle_cache:
                     oracle_cache[key] = oracle_value(cfg, probes[row.probe], t=row.t)
-                oracle_val = oracle_cache[key]
-            status = "ok"
-            if (row.t, row.probe) in violated:
-                status = "sandwich_violation"
-            elif oracle_val is not None and not (
-                row.lower - BRACKET_TOL <= oracle_val <= row.upper + BRACKET_TOL
-            ):
-                status = "oracle_outside"
-            rows.append(
-                SandwichReportRow(R, row.t, row.probe, row.lower, row.upper, oracle_val, status)
-            )
+                row.oracle = oracle_cache[key]
+            rows.append(row)
     return rows
 
 
 def write_sandwich_report(rows: list, cfg: ScenarioConfig, out_dir: Path) -> None:
     tail = (cfg.seed, cfg.digest())
     _write_csv(Path(out_dir) / "sandwich.csv", SANDWICH_COLUMNS, (
-        [r.R, r.stage, r.probe, _fmt(r.lower), _fmt(r.upper),
+        [r.R, r.t, r.probe, _fmt(r.lower), _fmt(r.upper),
          _fmt(r.gap), _fmt(r.oracle), r.status, *tail]
         for r in rows
     ))

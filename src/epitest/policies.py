@@ -153,6 +153,8 @@ class OpenLoopPlan:
         object.__setattr__(self, "actions", tuple(int(u) for u in self.actions))
 
     def action_at(self, t: int) -> int:
+        if not 1 <= t <= len(self.actions):
+            raise ValidationError(f"stage {t} outside the plan's [1, {len(self.actions)}]")
         return self.actions[t - 1]
 
     def __len__(self):

@@ -604,6 +604,37 @@ class TestLpSolveCount:
         assert all(rows == 1 << cfg.n for rows in lp_beliefs)
 
 
+TOL = approx.BRACKET_TOL
+
+
+class TestGapRowStatus:
+    @pytest.mark.parametrize("lower, upper, oracle, status", [
+        (1.0, 1.0 - 0.5 * TOL, None, "ok"),
+        (1.0, 1.0 - 2.0 * TOL, None, "sandwich_violation"),
+        (1.0, 1.0 - 2.0 * TOL, 5.0, "sandwich_violation"),
+        (1.0, 2.0, 1.0 - 0.5 * TOL, "ok"),
+        (1.0, 2.0, 1.0 - 2.0 * TOL, "oracle_outside"),
+        (1.0, 2.0, 2.0 + 0.5 * TOL, "ok"),
+        (1.0, 2.0, 2.0 + 2.0 * TOL, "oracle_outside"),
+        (1.0, 2.0, None, "ok"),
+    ], ids=["crossed-inside-tol", "crossed", "crossed-named-before-the-oracle",
+            "oracle-just-inside-below", "oracle-just-outside-below",
+            "oracle-just-inside-above", "oracle-just-outside-above", "no-oracle"])
+    def test_status_at_the_edges_of_the_tolerance(self, lower, upper, oracle, status):
+        assert approx.GapRow(2, 1, 0, lower, upper, oracle).status == status
+
+    def test_violations_are_the_crossed_rows(self):
+        cfg = scenario_c()
+        grid = BeliefGrid.corners_plus_random(2, 4, seed=1)
+        sw = sandwich(cfg, grid, probe_beliefs(2, 3))
+        assert {row.R for row in sw.rows} == {len(grid.points)}
+        assert all(row.oracle is None for row in sw.rows)
+        assert sw.violations == []
+        sw.rows[1].lower = sw.rows[1].upper + 1.0
+        sw.rows[2].oracle = sw.rows[2].upper + 1.0
+        assert sw.violations == [sw.rows[1]]
+
+
 class TestSandwich:
     def test_oracle_between_bounds(self):
         cfg = scenario_c()

@@ -3,14 +3,18 @@ import hashlib
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
 from epitest import approx, cli
 from epitest.cli import main
 from epitest.exact import load_value_function, solve
-from epitest.harness import SandwichReportRow
-from epitest.presets import scenario_a
+from epitest import harness
+from epitest.approx import GapRow, nested_grid_ladder
+from epitest.harness import run_sandwich_report
+from epitest.oracle import oracle_value
+from epitest.presets import probe_beliefs, scenario_a, scenario_c
 from epitest.scenario import dump_scenario
 
 from _child import exit_status
@@ -101,6 +105,22 @@ class TestBench:
         assert ((tmp_path / "x" / "per_run.csv").read_bytes()
                 != (tmp_path / "y" / "per_run.csv").read_bytes())
 
+    @pytest.mark.parametrize("policies, plan, named", [
+        ("bogus,never", None, "unknown policy 'bogus'"),
+        ("lookahead,bogus", None, "unknown policy 'bogus'"),
+        ("lookahead,open_loop", "9,9,9,9", "plan action 9 outside"),
+    ], ids=["unknown-first", "unknown-after-lookahead", "bad-plan"])
+    def test_bad_entry_exits_2_before_any_run(self, policies, plan, named, scenario_dir,
+                                              tmp_path, monkeypatch, capsys):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a Monte Carlo run started")
+
+        monkeypatch.setattr(harness, "monte_carlo_eval", no_runs)
+        argv = ["bench", "--scenario", scenario_path(scenario_dir), "--policies", policies,
+                "--n-runs", "2000", "--out-dir", str(tmp_path)]
+        assert main(argv + (["--plan", plan] if plan else [])) == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_output_bytes_pinned(self, scenario_dir, tmp_path):
         # criterion 8 compares reruns of one tree; these digests hold the
@@ -143,15 +163,29 @@ class TestSandwich:
 
     def test_inconsistency_names_the_first_bad_row(self, scenario_dir, tmp_path, capsys,
                                                    monkeypatch):
-        rows = [SandwichReportRow(2, 1, 0, 1.0, 2.0, 1.5, "ok"),
-                SandwichReportRow(4, 3, 7, 1.25, 1.5, 1.75, "oracle_outside"),
-                SandwichReportRow(8, 2, 1, 2.0, 1.0, None, "sandwich_violation")]
+        rows = [GapRow(2, 1, 0, 1.0, 2.0, 1.5),
+                GapRow(4, 3, 7, 1.25, 1.5, 1.75),
+                GapRow(8, 2, 1, 2.0, 1.0)]
         monkeypatch.setattr(cli, "run_sandwich_report", lambda cfg, sizes, probes: rows)
         assert main(["sandwich", "--scenario", scenario_path(scenario_dir),
                      "--out-dir", str(tmp_path)]) == cli.EXIT_INCONSISTENT
         assert ("2 rows violate the bound ordering (see sandwich.csv), first "
-                "SandwichReportRow(R=4, stage=3, probe=7, lower=1.25, upper=1.5, oracle=1.75, "
-                "status='oracle_outside')" in capsys.readouterr().err)
+                "GapRow(R=4, t=3, probe=7, lower=1.25, upper=1.5, oracle=1.75): "
+                "oracle_outside" in capsys.readouterr().err)
+        statuses = [ln.split(",")[7] for ln in (tmp_path / "sandwich.csv").read_text().splitlines()]
+        assert statuses == ["status", "ok", "oracle_outside", "sandwich_violation"]
+
+    def test_report_rows_carry_R_and_the_oracle(self):
+        cfg = scenario_c()
+        rows = run_sandwich_report(cfg, [2, 4], 3)
+        grids = nested_grid_ladder(cfg.n, [2, 4], seed=cfg.seed)
+        probes = probe_beliefs(cfg.n, 3, np.random.SeedSequence(entropy=cfg.seed,
+                                                                 spawn_key=(0xB111,)))
+        assert len(rows) == 2 * cfg.horizon * 3
+        assert [row.R for row in rows] == [len(g.points) for g in grids for _ in range(9)]
+        for row in rows:
+            assert row.oracle == oracle_value(cfg, probes[row.probe], t=row.t)
+            assert row.status == "ok"
 
     def test_ring5_output_bytes_pinned(self, tmp_path):
         # the benchmark's sandwich-ring op: ring-5 T=4 with chords from
@@ -162,6 +196,25 @@ class TestSandwich:
                      "--probes", "10", "--out-dir", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "sandwich.csv").read_bytes()).hexdigest() == (
             "b0121a681b08c35ee613a656f659223689c161a5b5ca9bffe25a7ea99a36c845")
+
+
+class TestSolveApprox:
+    def test_prints_the_stage_1_row(self, scenario_dir, capsys):
+        assert main(["solve-approx", "--scenario", scenario_path(scenario_dir)]) == 0
+        assert capsys.readouterr().out == (
+            "bounds at initial belief: [3.375, 4.2421875] gap=0.8671875 "
+            "grid=corner+uniform-random(8,seed=20260810)\n")
+
+    def test_crossed_bracket_exits_4_naming_the_first_row(self, scenario_dir, monkeypatch,
+                                                           capsys):
+        monkeypatch.setattr(approx.LowerBound, "value", lambda self, t, b: 100.0)
+        assert main(["solve-approx", "--scenario", scenario_path(scenario_dir)]) == (
+            cli.EXIT_INCONSISTENT)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal inconsistency: 4 rows violate the bound ordering, "
+                              "first GapRow(R=8, t=1, probe=0, lower=100.0, upper=4.2421875, "
+                              "oracle=None): sandwich_violation"), err
 
 
 @pytest.mark.parametrize("verb", ["sandwich", "solve-approx"])

@@ -454,6 +454,29 @@ class TestSerialization:
                                                   r"outside \[0, 2\]"):
             load_value_function(self.rewrite(path, tmp_path, actions_0=actions))
 
+    @pytest.mark.parametrize("member", ["values_1", "actions_2", "header"])
+    def test_missing_member_rejected(self, saved, tmp_path, member):
+        path, arrays = saved
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{k: v for k, v in arrays.items() if k != member})
+        with pytest.raises(ValidationError, match=f"file has no '{member}' member$"):
+            load_value_function(bad)
+
+    def test_missing_header_key_rejected(self, saved, tmp_path):
+        path, arrays = saved
+        header = json.loads(bytes(arrays["header"]).decode())
+        del header["horizon"]
+        bad = self.rewrite(path, tmp_path, header=np.frombuffer(json.dumps(header).encode(),
+                                                                dtype=np.uint8))
+        with pytest.raises(ValidationError, match="header has no 'horizon' key"):
+            load_value_function(bad)
+
+    def test_header_that_is_not_json_rejected(self, saved, tmp_path):
+        path, _ = saved
+        bad = self.rewrite(path, tmp_path, header=np.frombuffer(b"{version: 1", dtype=np.uint8))
+        with pytest.raises(ValidationError, match="header is not JSON"):
+            load_value_function(bad)
+
     def test_tag_count_mismatch_rejected(self, saved, tmp_path):
         path, arrays = saved
         bad = self.rewrite(path, tmp_path, actions_0=arrays["actions_0"][:2])

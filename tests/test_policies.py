@@ -131,6 +131,15 @@ class TestOpenLoop:
         res = monte_carlo_eval(cfg, OpenLoopPolicy(plan), 5000)
         assert abs(res.mean_cost - predicted) <= 3 * res.std_error
 
+    @pytest.mark.parametrize("t, action", [(1, 1), (4, 0)])
+    def test_action_at_reads_stage_t(self, t, action):
+        assert OpenLoopPlan((1, 2, 3, 0)).action_at(t) == action
+
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_action_at_refuses_a_stage_off_the_plan(self, t):
+        with pytest.raises(ValidationError, match=rf"stage {t} outside the plan's \[1, 4\]"):
+            OpenLoopPlan((1, 2, 3, 0)).action_at(t)
+
     def test_default_plan_round_robin(self):
         cfg = scenario_a()
         assert default_plan(cfg).actions == (1, 2, 3, 0)
