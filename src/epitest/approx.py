@@ -9,8 +9,10 @@ function everywhere. The lower bound backs up grid values only, valuing children
 convex-combination interpolation (Lovejoy, Operations Research 1991), which concavity
 puts below the true function: b.v_c, the plane through the corner values, plus at most
 one LP over the interior points above that plane; a backup whose next tables lie on
-their corner planes is one alpha backup (Hauskrecht, JAIR 2000). The per-probe gap
-between the bounds certifies the pair.
+their corner planes is one alpha backup (Hauskrecht, JAIR 2000), and so is a backup at
+a quarantine q on whose face (every support state holds q's members) no interior point
+lies, since no belief at q can weight such a point. The per-probe gap between the
+bounds certifies the pair.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .model import (
     infection_counts,
     one_step_min,
     outcome_indicator,
+    quarantine_mask,
 )
 from .scenario import ScenarioConfig
 
@@ -285,13 +288,17 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
     ``corner_backup`` holds, every corner child settles as b.v_c, so the
     corner rows of each (t, q) table are ``a.min(axis=0)`` over the vectors a
     of one :func:`exact_backup` of the stage-(t+1) corner values, and only
-    the interior rows are interpolated; otherwise every row is. When every
-    next table the backup reaches is also flat, weak duality makes each
-    interpolant its corner plane, so the interior rows are
-    ``(points @ a.T).min(axis=1)`` and no LP is solved. Terminal tables
-    come from the same :meth:`BeliefGrid.plane`, so they are flat bit for
-    bit. Raises InternalInconsistency (naming the LP's status and the
-    belief's support size) if HiGHS fails on a hull LP.
+    the interior rows are interpolated; otherwise every row is. Two rules
+    make the interior rows ``(points @ a.T).min(axis=1)`` too, with no LP.
+    The face rule: a belief at q lies on q's face (no mass on a state
+    missing a member of q), and :meth:`BeliefGrid.hull_value` weights only
+    points inside the belief's support, so when no interior point lies on
+    q's face none is read at q; the plane is still a lower bound
+    everywhere, by concavity. The flat rule: when every next table the
+    backup reaches is flat, weak duality makes each interpolant its corner
+    plane. Terminal tables come from the same :meth:`BeliefGrid.plane`, so
+    they are flat bit for bit. Raises InternalInconsistency (naming the
+    LP's status and the belief's support size) if HiGHS fails on a hull LP.
     """
     _check_size(cfg.n, grid)
     c, size = infection_counts(cfg.n), 1 << cfg.n
@@ -303,6 +310,9 @@ def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
             sets = {q_next: AlphaSet(grid.split(nxt[q_next])[0][None], [0], 0, q_next)
                     for bs in branch_sets.values() for _, q_next, _ in bs}
             vals = grid.plane(exact_backup(sets, g, q, cfg.p, cfg.lam).values)
+            held = quarantine_mask(q)
+            if grid.points[:, (np.arange(size) & held) != held].any(axis=1).all():
+                return vals  # no point lies on q's face, so no belief at q reads a point
             if all(grid.flat(nxt[q_next]) for q_next in sets):
                 return vals  # every child's interpolant is its corner plane
             rows = range(size, len(grid))

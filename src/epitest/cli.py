@@ -24,7 +24,7 @@ from .harness import (
     write_result_table,
     write_sandwich_report,
 )
-from .policies import OpenLoopPlan, make_policy
+from .policies import OpenLoopPlan, _check_plan, make_policy
 from .scenario import load_scenario
 from .simulate import run_episode, run_seed
 
@@ -107,10 +107,11 @@ def _int_list(raw: str, flag: str) -> tuple:
     return tuple(out)
 
 
-def _parse_plan(raw):
+def _parse_plan(raw, cfg):
+    """The ``--plan`` given, checked against the scenario whichever policy reads it."""
     if raw is None:
         return None
-    return OpenLoopPlan(_int_list(raw, "--plan"))
+    return _check_plan(OpenLoopPlan(_int_list(raw, "--plan")), cfg)
 
 
 def _check_rows(rows, where: str = "") -> None:
@@ -162,7 +163,7 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"--policies names {repeated!r} more than once: {args.policies!r}")
     workers = _count(args.workers, "--workers", 1)
     n_runs = _count(args.n_runs, "--n-runs", 1)
-    results = run_benchmark(cfg, policies, n_runs, _parse_plan(args.plan), workers)
+    results = run_benchmark(cfg, policies, n_runs, _parse_plan(args.plan, cfg), workers)
     write_result_table(results, cfg, n_runs, Path(args.out_dir))
     for name, r, _ in results:
         if r is None:
@@ -192,7 +193,7 @@ def cmd_sandwich(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = _load(args)
-    policy = make_policy(args.policy, cfg, plan=_parse_plan(args.plan))
+    policy = make_policy(args.policy, cfg, plan=_parse_plan(args.plan, cfg))
     index = _count(args.run_index, "--run-index")
     trace = run_episode(cfg, policy, run_seed(cfg.seed, index))
     out = Path(args.out_dir)

@@ -35,7 +35,7 @@ from .model import (
     infection_counts,
     outcome_indicator,
 )
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _number
 
 DEFAULT_MAX_N = 6
 DEFAULT_MAX_T = 8
@@ -327,9 +327,11 @@ def save_value_function(vf: ValueFunction, path) -> None:
 def load_value_function(path) -> ValueFunction:
     """Read a file written by :func:`save_value_function`. Raises
     ValidationError, naming the member, key, entry and numbers, for a header
-    that is not a JSON object, a missing member or header key, a stage outside
-    [1, horizon], a quarantine with a vertex outside [1, n] or more than
-    t - 1 members, a repeated (stage, quarantine) pair, an empty set,
+    that is not a JSON object, a missing member or header key, an ``n``,
+    ``horizon``, stage or vertex that is not an integer, ``entries`` that
+    is not a list, an entry that is not a [stage, quarantine] pair, a stage
+    outside [1, horizon], a quarantine with a vertex outside [1, n] or more
+    than t - 1 members, a repeated (stage, quarantine) pair, an empty set,
     vectors not 2**n wide, a tag count that is not the vector count, tags
     outside [0, n], non-finite values, or a missing reachable slice.
     """
@@ -350,11 +352,20 @@ def load_value_function(path) -> ValueFunction:
             raise ValidationError(f"value-function header has no {key!r} key")
         if header["version"] != _FORMAT_VERSION:
             raise ValidationError(f"unsupported value-function file version {header['version']}")
-        n, horizon = int(header["n"]), int(header["horizon"])
+        n, horizon = (_number(int, header[k], f"value-function header {k!r}")
+                      for k in ("n", "horizon"))
+        if not isinstance(header["entries"], list):
+            raise ValidationError(f"value-function header 'entries' is "
+                                  f"{header['entries']!r}, not a list")
         table = {}
         first = {}  # (stage, quarantine) -> index of the entry that holds it
-        for k, (t, qlist) in enumerate(header["entries"]):
-            t, q = int(t), frozenset(int(u) for u in qlist)
+        for k, entry in enumerate(header["entries"]):
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
+                raise ValidationError(f"value-function header entry {k} is {entry!r}, "
+                                      f"not [stage, quarantine]")
+            field = f"value-function header entry {k}"
+            t = _number(int, entry[0], f"{field}'s stage")
+            q = frozenset(_number(int, u, f"{field}'s quarantined vertex") for u in entry[1])
             values = member(f"values_{k}")
             where = f"value-function entry {k} (stage {t}, quarantine {sorted(q)})"
             if not 1 <= t <= horizon:

@@ -33,6 +33,7 @@ from epitest.model import (
     candidate_actions,
     infection_counts,
     one_step_min,
+    quarantine_mask,
 )
 from epitest.oracle import oracle_value
 from epitest.presets import probe_beliefs, scenario_a, scenario_b, scenario_c, scenario_d
@@ -376,7 +377,9 @@ def test_hull_values_are_certified(monkeypatch):
     """Every hull value is at most the objective at the LP's weights clipped
     to >= 0 and scaled until every corner weight is >= 0, which is a convex
     combination of grid points. ring-7 T=6 is the smallest fixture where
-    HiGHS's own optimum lies above it (by 3.4e-7, in one LP)."""
+    HiGHS's own optimum lies above it (by 3.4e-7, in one LP, at a point off
+    its quarantine's face), so the tables come from the per-point loop,
+    which interpolates at every row."""
     cfg = ring_scenario(7, 0.3, chord_seed=1, horizon=6)
     grid = nested_grid_ladder(7, [8], 601)[0]  # its corners come first, in state order
     solved, excess = [], []
@@ -401,7 +404,7 @@ def test_hull_values_are_certified(monkeypatch):
 
     monkeypatch.setattr(approx, "linprog", capturing)
     monkeypatch.setattr(BeliefGrid, "hull_value", checking)
-    approx_solve_lower(cfg, grid)
+    per_point_tables(cfg, grid)
     assert len(excess) > 500
     assert max(excess) <= 1e-12, max(excess)
 
@@ -496,7 +499,10 @@ class TestFlatTables:
         return counts
 
     def test_last_backups_solve_no_lp(self, per_stage):
-        approx_solve_lower(self.CFG, self.GRID)
+        # the grid needs a point on a face, since at q != {} only such points
+        # interpolate, and one where the stage-(T - 1) tables bend: 2's face
+        on_face = ((np.arange(32) >> 1) & 1) / 16  # uniform where 2 is infected
+        approx_solve_lower(self.CFG, BeliefGrid(5, [*self.GRID.points, on_face], "with-face-point"))
         # stages 1 to T - 2 interpolate; stage T - 1 reads only terminal tables
         assert sorted(per_stage) == list(range(1, self.CFG.horizon - 1))
         assert all(lps > 0 and children > 0 for lps, children in per_stage.values())
@@ -520,6 +526,64 @@ class TestFlatTables:
             cfg, lambda q: raised if q == EMPTY else terminal(q), backup))
         approx_solve_lower(self.CFG, self.GRID)
         assert per_stage[self.CFG.horizon - 1][0] > 0  # the backup at q = {} interpolates
+
+
+def on_face(n, q, rng):
+    """A random belief on q's face: every support state holds q's members."""
+    held = quarantine_mask(q)
+    b = np.where((np.arange(1 << n) & held) == held, rng.dirichlet(np.ones(1 << n)), 0.0)
+    return b / b.sum()
+
+
+class TestFaceRule:
+    """A (t, q) backup with no interior point on q's face is its corner
+    backup's plane: no belief at q can weight an off-face point, so the
+    values read on the face are those of the interpolating sweep."""
+
+    LADDERS = [nested_grid_ladder(n, [3], seed=80 + n)[0] for n in range(3, 7)]
+    REGULAR = [BeliefGrid.regular(2, 2), BeliefGrid.regular(2, 3), BeliefGrid.regular(3, 2)]
+    # one point uniform on {1}'s face keeps the LP path at q = {1}
+    FACED = [BeliefGrid(5, [*LADDERS[2].points, (np.arange(32) & 1) / 16], "with-{1}-face-point")]
+
+    @pytest.mark.parametrize("grid", LADDERS + REGULAR + FACED,
+                             ids=[f"n{g.n}-{g.descriptor}" for g in LADDERS + REGULAR + FACED])
+    def test_face_values_match_the_interpolating_sweep(self, grid, monkeypatch):
+        rng = np.random.default_rng(90 + grid.n)
+        cfg = random_scenario(grid.n, 4, 0.5, 0.3, rng, per_step=True)
+        lb = approx_solve_lower(cfg, grid)
+        monkeypatch.setattr(approx, "quarantine_mask", lambda q: 0)  # every point on every face
+        swept = approx_solve_lower(cfg, grid)
+        reference = per_point_tables(cfg, grid)
+        for (t, q), vals in reference.items():
+            for b in (on_face(grid.n, q, rng) for _ in range(3)):
+                assert lb.value(t, b, q) == swept.value(t, b, q), (t, q)
+                # the corner rows' backup rounds apart from the per-point loop
+                assert abs(lb.value(t, b, q) - grid.hull_value(b, vals)) <= 1e-12, (t, q)
+
+    def test_sandwich_ring_solves_no_lp_off_the_empty_quarantine(self, monkeypatch):
+        cfg = ring_scenario(5, 0.3, chord_seed=1, horizon=4)
+        at, lp_at = [None], []
+        sweep, real = approx._backward_induction, approx.linprog
+
+        def noting(nxt, g, q, backup):
+            at[0] = q
+            return backup(nxt, g, q)
+
+        monkeypatch.setattr(approx, "_backward_induction", lambda cfg, terminal, backup: sweep(
+            cfg, terminal, lambda nxt, g, q: noting(nxt, g, q, backup)))
+        monkeypatch.setattr(approx, "linprog", lambda c, **kwargs: lp_at.append(at[0]) or real(
+            c, **kwargs))
+        for grid in nested_grid_ladder(5, [2, 4, 8], 601):
+            approx_solve_lower(cfg, grid)
+        assert lp_at and set(lp_at) == {EMPTY}
+
+    def test_face_values_lie_below_the_oracle(self):
+        cfg = ring_scenario(5, 0.3, chord_seed=1, horizon=4)
+        lb = approx_solve_lower(cfg, nested_grid_ladder(5, [8], 601)[0])
+        rng = np.random.default_rng(95)
+        for t, q in [(2, {1}), (2, {4}), (3, {2}), (3, {3, 5}), (4, {1, 2, 5})]:
+            for b in (on_face(cfg.n, q, rng) for _ in range(2)):
+                assert lb.value(t, b, frozenset(q)) <= oracle_value(cfg, b, t, frozenset(q)) + TOL
 
 
 LOWER_BOUND_RING8 = """

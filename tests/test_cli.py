@@ -109,7 +109,8 @@ class TestBench:
         ("bogus,never", None, "unknown policy 'bogus'"),
         ("lookahead,bogus", None, "unknown policy 'bogus'"),
         ("lookahead,open_loop", "9,9,9,9", "plan action 9 outside"),
-    ], ids=["unknown-first", "unknown-after-lookahead", "bad-plan"])
+        ("never", "9,9,9,9", "plan action 9 outside"),
+    ], ids=["unknown-first", "unknown-after-lookahead", "bad-plan", "bad-plan-no-reader"])
     def test_bad_entry_exits_2_before_any_run(self, policies, plan, named, scenario_dir,
                                               tmp_path, monkeypatch, capsys):
         def no_runs(*args, **kwargs):

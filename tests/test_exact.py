@@ -471,6 +471,25 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="header has no 'horizon' key"):
             load_value_function(bad)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "x", "header 'n' must be an integer, got 'x'"),
+        ("entries", 5, "header 'entries' is 5, not a list"),
+    ], ids=["n", "entries"])
+    def test_malformed_header_field_rejected(self, saved, tmp_path, key, value, message):
+        path, arrays = saved
+        header = json.loads(bytes(arrays["header"]).decode())
+        header[key] = value
+        bad = self.rewrite(path, tmp_path, header=np.frombuffer(json.dumps(header).encode(),
+                                                                dtype=np.uint8))
+        with pytest.raises(ValidationError, match=message):
+            load_value_function(bad)
+
+    def test_entry_that_is_not_a_pair_rejected(self, saved, tmp_path):
+        bad = self.rewrite_entries(saved, tmp_path, {3: [1]})
+        with pytest.raises(ValidationError, match=r"header entry 3 is \[1\], "
+                                                  r"not \[stage, quarantine\]"):
+            load_value_function(bad)
+
     def test_header_that_is_not_json_rejected(self, saved, tmp_path):
         path, _ = saved
         bad = self.rewrite(path, tmp_path, header=np.frombuffer(b"{version: 1", dtype=np.uint8))
