@@ -7,18 +7,17 @@ row least at the point (Pineau, Gordon & Thrun, IJCAI 2003). A smaller min-set l
 higher, and the Bellman operator keeps that order, so it dominates the true value
 function everywhere. The lower bound backs up grid values only, valuing children by
 convex-combination interpolation (Lovejoy, Operations Research 1991), which concavity
-puts below the true function: b.v_c, the plane through the corner values, plus at most
-one LP over the interior points above that plane; a backup whose next tables lie on
-their corner planes is one alpha backup (Hauskrecht, JAIR 2000), and so is a backup at
-a quarantine q on whose face (every support state holds q's members) no interior point
-lies, since no belief at q can weight such a point. The per-probe gap between the
-bounds certifies the pair.
+puts below the true function: b.v_c, the plane through the corner values, plus a gain,
+at most one LP over the interior points above that plane. Each row's value is one
+formula, the least over actions of the action's corner plane (one alpha backup of the
+corner values, Hauskrecht, JAIR 2000) plus its children's expected gains; rules that
+prove every gain 0 skip building the children, and change no bit. The per-probe gap
+between the bounds certifies the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ from .exact import (
     ValueFunction,
     _backward_induction,
     _terminal_set,
-    exact_backup,
     pulled_back,
     stage_slice,
 )
@@ -43,14 +41,12 @@ from .model import (
     branches,
     candidate_actions,
     infection_counts,
-    one_step_min,
     outcome_indicator,
     quarantine_mask,
 )
 from .scenario import ScenarioConfig
 
 DEFAULT_MAX_N = 12
-REGULAR_GRID_MAX_POINTS = 20000
 BRACKET_TOL = 1e-9  # a tighter gap is tight; bounds may cross or miss the oracle by this
 
 
@@ -70,7 +66,8 @@ class BeliefGrid:
     ``descriptor`` records how the points were generated, for provenance in
     reports. ``corner_backup`` holds when every interior point has more than
     n + 1 support states: a corner's child has at most n + 1, so no interior
-    point fits it, and the lower bound's corner rows are one backup.
+    point fits it, every corner child's gain is 0, and the lower bound's
+    corner rows are their corner planes' least, with no child built.
     """
 
     n: int
@@ -82,6 +79,8 @@ class BeliefGrid:
             _check_distribution(pt, self.n, f"grid point {k}")
         self.points = np.reshape(np.asarray(self.points, dtype=float), (-1, 1 << self.n))
         self.corner_backup = bool((np.count_nonzero(self.points, axis=1) > self.n + 1).all())
+        self.held = np.bitwise_and.reduce(  # per point, the members every support state holds
+            np.where(self.points > 0.0, np.arange(1 << self.n), -1), axis=1)
 
     def dots(self, vectors: np.ndarray) -> np.ndarray:
         """Each row of ``vectors`` at each point, shaped (len(vectors), len(grid))."""
@@ -99,31 +98,33 @@ class BeliefGrid:
         """Grid values of the least plane in the rows of ``c`` (or of 1-D ``c``)."""
         return self.dots(np.atleast_2d(c)).min(axis=0)
 
-    def flat(self, values: np.ndarray) -> bool:
-        """``corner_backup`` holds and no grid value lies above the plane
-        through the corner values (no gain > 0, an exact comparison)."""
-        return self.corner_backup and not (self.split(values)[1] > 0.0).any()
-
     def hull_value(self, b, values) -> float:
         """Best value of belief b as a convex combination of grid points
-        carrying ``values``.
+        carrying ``values``: b.v_c, over supp(b) only, plus :meth:`hull_gain`."""
+        gain = self.hull_gain(b, values)
+        b, v_c = np.asarray(b, dtype=float), np.asarray(values, dtype=float)[: 1 << self.n]
+        inside = b > 0.0
+        return float(b[inside] @ v_c[inside]) + gain
+
+    def hull_gain(self, b, values) -> float:
+        """How far belief b's hull value lies above b.v_c, the plane through
+        the corner values v_c.
 
         A corner's weight is b_s minus the interior weights' mass on s, so
-        the value is b.v_c + max gain.mu over mu >= 0, G^T mu <= b. Only
-        points inside supp(b) with gain > 0 can take weight; with none left
-        there is no LP. mu = 0 is feasible, so a failed LP is the solver's
-        failure. The LP's mu is clipped to >= 0 and scaled until each corner
-        weight is >= 0, so the value is certified to rounding, not to
-        HiGHS's 1e-7.
+        the gain is max gain.mu over mu >= 0, G^T mu <= b. Only points
+        inside supp(b) with gain > 0 can take weight; with none left the
+        gain is 0, with no LP. mu = 0 is feasible, so a failed LP is the
+        solver's failure. The LP's mu is clipped to >= 0 and scaled until
+        each corner weight is >= 0, so the value is certified to rounding,
+        not to HiGHS's 1e-7.
         """
         b, values = np.asarray(b, dtype=float), np.asarray(values, dtype=float)
         _check_distribution(b, self.n, "belief")
-        inside, (v_c, gain) = b > 0.0, self.split(values)
+        inside, gain = b > 0.0, self.split(values)[1]
         keep = ~self.points[:, ~inside].any(axis=1) & (gain > 0.0)
-        g, b_in = self.points[keep][:, inside].T, b[inside]
-        base = float(b_in @ v_c[inside])
         if not keep.any():
-            return base
+            return 0.0
+        g, b_in = self.points[keep][:, inside].T, b[inside]
         res = linprog(-gain[keep], A_ub=g, b_ub=b_in, bounds=(0.0, None), method="highs")
         if res.status != 0:
             raise InternalInconsistency(
@@ -132,28 +133,17 @@ class BeliefGrid:
                 f"{res.message}")
         mu = np.maximum(res.x, 0.0)  # a feasible mu: clipped, then scaled by
         alpha = (b_in / np.maximum(g @ mu, b_in)).min()  # alpha = min(1, min_s b_s / (G^T mu)_s)
-        return base + float(alpha * (gain[keep] @ mu))
+        return float(alpha * (gain[keep] @ mu))
+
+    def on_face(self, q: Quarantine) -> np.ndarray:
+        """Per grid row: does it lie on q's face, with no mass on a state
+        missing some member of q? Every belief at quarantine q does."""
+        held = quarantine_mask(q)
+        return (np.concatenate([np.arange(1 << self.n), self.held]) & held) == held
 
     @classmethod
     def corners(cls, n: int) -> "BeliefGrid":
         return cls(n, [], "corner")
-
-    @classmethod
-    def regular(cls, n: int, m: int) -> "BeliefGrid":
-        """All beliefs with probabilities in multiples of 1/m."""
-        size = 1 << n
-        from math import comb
-
-        count = comb(m + size - 1, size - 1)
-        if count > REGULAR_GRID_MAX_POINTS:
-            raise SizeCapError(f"regular grid would hold {count} points "
-                               f"(cap {REGULAR_GRID_MAX_POINTS})")
-        pts = []
-        for cuts in combinations(range(m + size - 1), size - 1):
-            parts = np.diff((-1,) + cuts + (m + size - 1,)) - 1
-            if parts.max() < m:  # the point masses are implicit
-                pts.append(parts / m)
-        return cls(n, pts, f"regular-grid(m={m})")
 
     @classmethod
     def corners_plus_random(cls, n: int, r: int, seed: int) -> "BeliefGrid":
@@ -284,46 +274,45 @@ def _branch_children(bf: np.ndarray, u: int, branch_set: list, n: int):
 
 
 def approx_solve_lower(cfg: ScenarioConfig, grid: BeliefGrid) -> LowerBound:
-    """Backward recursion restricted to grid points. When the grid's
-    ``corner_backup`` holds, every corner child settles as b.v_c, so the
-    corner rows of each (t, q) table are ``a.min(axis=0)`` over the vectors a
-    of one :func:`exact_backup` of the stage-(t+1) corner values, and only
-    the interior rows are interpolated; otherwise every row is. Two rules
-    make the interior rows ``(points @ a.T).min(axis=1)`` too, with no LP.
-    The face rule: a belief at q lies on q's face (no mass on a state
-    missing a member of q), and :meth:`BeliefGrid.hull_value` weights only
-    points inside the belief's support, so when no interior point lies on
-    q's face none is read at q; the plane is still a lower bound
-    everywhere, by concavity. The flat rule: when every next table the
-    backup reaches is flat, weak duality makes each interpolant its corner
-    plane. Terminal tables come from the same :meth:`BeliefGrid.plane`, so
-    they are flat bit for bit. Raises InternalInconsistency (naming the
-    LP's status and the belief's support size) if HiGHS fails on a hull LP.
+    """Backward recursion restricted to grid points, one formula per row: the
+    least over actions u of plane_u(row) + sum of prob * :meth:`BeliefGrid.hull_gain`
+    over the row's children. plane_u is the grid plane of u's corner vector,
+    (c + lambda_u) plus each branch's pulled-back next corner values, summed in
+    :func:`exact_backup`'s order. Three rules set a row to its planes' least, the
+    formula with every gain 0, and build no children:
+
+    - a row off q's face: no belief at q weights it, nor reads its corner;
+    - every row, when no next table has a point above its corner plane on
+      that table's own face, where the children at that quarantine lie;
+    - a corner row when ``corner_backup`` holds.
+
+    So every row on q's face is the formula bit for bit; an off-face row may
+    lie below it, and is still a lower bound, by concavity. Terminal tables
+    are the plane of c. Raises InternalInconsistency (naming the LP's status
+    and the belief's support size) if HiGHS fails on a hull LP.
     """
     _check_size(cfg.n, grid)
     c, size = infection_counts(cfg.n), 1 << cfg.n
 
     def backup(nxt, g, q):  # stage-(t+1) grid values nxt, interpolated at each child
         branch_sets = {u: branches(g, q, u, cfg.p) for u in candidate_actions(cfg.n, q)}
-        vals, rows = np.empty(len(grid)), range(len(grid))
-        if grid.corner_backup:  # the sets' stage label, t=0, is never read
-            sets = {q_next: AlphaSet(grid.split(nxt[q_next])[0][None], [0], 0, q_next)
-                    for bs in branch_sets.values() for _, q_next, _ in bs}
-            vals = grid.plane(exact_backup(sets, g, q, cfg.p, cfg.lam).values)
-            held = quarantine_mask(q)
-            if grid.points[:, (np.arange(size) & held) != held].any(axis=1).all():
-                return vals  # no point lies on q's face, so no belief at q reads a point
-            if all(grid.flat(nxt[q_next]) for q_next in sets):
-                return vals  # every child's interpolant is its corner plane
-            rows = range(size, len(grid))
-        for r in rows:
+        reached = {q_next for bs in branch_sets.values() for _, q_next, _ in bs}
+        corners = {q_next: AlphaSet(nxt[q_next][:size][None], [0], 0, q_next)  # t is not read
+                   for q_next in reached}
+        planes = {u: grid.plane(sum(backs, c + cfg.lam if u else c))  # ((c + λ) + b1) + b2
+                  for u, backs in pulled_back(corners, g, q, cfg.p)}
+        vals = np.min(list(planes.values()), axis=0)  # the formula with every gain 0
+        if not any((grid.split(nxt[q_next])[1] > 0.0)[grid.on_face(q_next)[size:]].any()
+                   for q_next in reached):
+            return vals  # no child can weight a point above its corner plane
+        rows = grid.on_face(q)
+        rows[:size] &= not grid.corner_backup
+        for r in np.flatnonzero(rows):
             bf = grid.points[r - size] if r >= size else np.eye(1, size, r)[0]
-            _, best = one_step_min(
-                cfg.n, q, cfg.lam,
-                lambda u: _branch_children(bf, u, branch_sets[u], cfg.n),
-                lambda child, q_next: grid.hull_value(child, nxt[q_next]),
-            )
-            vals[r] = float(bf @ c) + best
+            vals[r] = min(planes[u][r] + sum(
+                prob * grid.hull_gain(child, nxt[q_next])
+                for prob, child, q_next in _branch_children(bf, u, branch_sets[u], cfg.n))
+                for u in branch_sets)
         return vals
 
     tables = _backward_induction(cfg, lambda q: grid.plane(c), backup)

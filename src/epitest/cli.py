@@ -107,6 +107,14 @@ def _int_list(raw: str, flag: str) -> tuple:
     return tuple(out)
 
 
+def _once(items: tuple, flag: str, raw: str) -> tuple:
+    """``items``, unless one repeats: then a ValidationError names the first repeat."""
+    repeated = next((x for i, x in enumerate(items) if x in items[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"{flag} names {repeated!r} more than once: {raw!r}")
+    return items
+
+
 def _parse_plan(raw, cfg):
     """The ``--plan`` given, checked against the scenario whichever policy reads it."""
     if raw is None:
@@ -158,9 +166,7 @@ def cmd_bench(args) -> int:
     policies = tuple(tok.strip() for tok in args.policies.split(",") if tok.strip())
     if not policies:
         raise ValidationError(f"--policies names no policy: {args.policies!r}")
-    repeated = next((name for i, name in enumerate(policies) if name in policies[:i]), None)
-    if repeated is not None:
-        raise ValidationError(f"--policies names {repeated!r} more than once: {args.policies!r}")
+    _once(policies, "--policies", args.policies)
     workers = _count(args.workers, "--workers", 1)
     n_runs = _count(args.n_runs, "--n-runs", 1)
     results = run_benchmark(cfg, policies, n_runs, _parse_plan(args.plan, cfg), workers)
@@ -178,9 +184,9 @@ def cmd_bench(args) -> int:
 
 def cmd_sandwich(args) -> int:
     cfg = _load(args)
-    grid_sizes = tuple(
-        _count(r, "--grid-sizes") for r in _int_list(args.grid_sizes, "--grid-sizes")
-    )
+    grid_sizes = _once(tuple(_count(r, "--grid-sizes")
+                             for r in _int_list(args.grid_sizes, "--grid-sizes")),
+                       "--grid-sizes", args.grid_sizes)
     rows = run_sandwich_report(cfg, grid_sizes, _count(args.probes, "--probes", 1))
     write_sandwich_report(rows, cfg, Path(args.out_dir))
     for R in sorted({r.R for r in rows}):

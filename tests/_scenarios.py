@@ -3,11 +3,14 @@
 Every generator draws from the numpy Generator it is given, so a test fixes
 its cases by seed. Together they cover static and per-step schedules,
 zero-weight edges, any p and lambda (0 and 1 included), and point, spread
-and full-support beliefs.
+and full-support beliefs. ``regular_grid`` builds the sparse belief grids.
 """
+
+from itertools import combinations
 
 import numpy as np
 
+from epitest.approx import BeliefGrid
 from epitest.beliefs import Belief
 from epitest.model import ContactGraph, ContactSchedule, SystemState
 from epitest.scenario import ScenarioConfig
@@ -57,3 +60,15 @@ def ring_scenario(n, lam, chord_seed=3, horizon=None):
     prior = {0: 0.5, **{1 << k: 0.5 / n for k in range(n)}}
     return ScenarioConfig(n, horizon, 0.5, lam, ContactSchedule.static(horizon, g),
                           Belief(n, prior), 0)
+
+
+def regular_grid(n, m):
+    """Every belief on the 2**n states with probabilities in multiples of
+    1/m, the point masses implicit."""
+    size = 1 << n
+    pts = []
+    for cuts in combinations(range(m + size - 1), size - 1):
+        parts = np.diff((-1,) + cuts + (m + size - 1,)) - 1
+        if parts.max() < m:
+            pts.append(parts / m)
+    return BeliefGrid(n, pts, f"regular-grid(m={m})")

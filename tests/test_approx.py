@@ -24,6 +24,7 @@ from epitest.exact import (
     _terminal_set,
     evaluate,
     exact_backup,
+    pulled_back,
     solve,
 )
 from epitest.model import (
@@ -40,7 +41,7 @@ from epitest.presets import probe_beliefs, scenario_a, scenario_b, scenario_c, s
 from epitest.scenario import ScenarioConfig
 
 from _child import peak_rss_mib
-from _scenarios import random_beliefs, random_scenario, ring_scenario
+from _scenarios import random_beliefs, random_scenario, regular_grid, ring_scenario
 
 EMPTY = frozenset()
 
@@ -70,11 +71,9 @@ class TestGrids:
         assert np.allclose(np.stack(a.points).sum(axis=1), 1.0)
 
     def test_regular_grid(self):
-        grid = BeliefGrid.regular(1, 4)
+        grid = regular_grid(1, 4)
         assert len(grid) == 5  # compositions of 4 into 2 parts
         assert sorted(pt[1] for pt in every_row(grid)) == [0.0, 0.25, 0.5, 0.75, 1.0]
-        with pytest.raises(SizeCapError):
-            BeliefGrid.regular(3, 40)
 
     def test_nested_ladder_shares_prefixes(self):
         g2, g4 = nested_grid_ladder(2, [2, 4], seed=9)
@@ -140,7 +139,7 @@ def sieve_grids(n):
     extreme corners given again."""
     size = 1 << n
     regular = {2: range(1, 5), 3: range(1, 4)}.get(n, ())
-    return ([BeliefGrid.regular(n, m) for m in regular]
+    return ([regular_grid(n, m) for m in regular]
             + [BeliefGrid(n, [np.full(size, 1.0 / size)], "center-only"),
                duplicated_corner_grid(n, 4 + n), BeliefGrid.corners(n),
                BeliefGrid(n, [np.eye(size)[size - 1], np.eye(size)[0]], "two-corners")])
@@ -325,7 +324,7 @@ class TestHullInterpolator:
 
     GRIDS = (
         [nested_grid_ladder(n, [3], seed=40 + n)[0] for n in (2, 3, 4, 5)]
-        + [BeliefGrid.regular(1, 4), BeliefGrid.regular(2, 3), BeliefGrid.regular(3, 2)]
+        + [regular_grid(1, 4), regular_grid(2, 3), regular_grid(3, 2)]
         + [duplicated_corner_grid(2, 5), duplicated_corner_grid(3, 6)]
     )
 
@@ -365,8 +364,8 @@ class TestHullInterpolator:
         cfg = scenario_c()
         grid = BeliefGrid.corners_plus_random(2, 4, seed=1)
         settled = approx_solve_lower(cfg, grid)
-        monkeypatch.setattr(BeliefGrid, "hull_value",
-                            lambda self, b, values: reference_hull_value(self, b, values))
+        monkeypatch.setattr(BeliefGrid, "hull_gain", lambda self, b, values: (
+            reference_hull_value(self, b, values) - b @ values[: b.size]))
         plain = approx_solve_lower(cfg, grid)
         assert settled.tables.keys() == plain.tables.keys()
         for key, vals in plain.tables.items():
@@ -429,12 +428,12 @@ def per_point_tables(cfg, grid):
 
 
 class TestCornerRows:
-    """Corner rows come from one full-information backup per (t, q) exactly
-    when every corner child settles in closed form, and every table matches
-    the per-point loop either way."""
+    """Corner rows build no children exactly when every corner child's gain
+    is 0 in closed form, and every table matches the per-point loop either
+    way."""
 
     LADDERS = [nested_grid_ladder(n, [3], seed=60 + n)[0] for n in range(2, 7)]
-    LOOP_ONLY = [nested_grid_ladder(1, [2], seed=61)[0], BeliefGrid.regular(2, 2),
+    LOOP_ONLY = [nested_grid_ladder(1, [2], seed=61)[0], regular_grid(2, 2),
                  duplicated_corner_grid(3, 6)]
     CASES = [(g, True) for g in LADDERS] + [(g, False) for g in LOOP_ONLY]
 
@@ -444,13 +443,13 @@ class TestCornerRows:
         rng = np.random.default_rng(70 + grid.n)
         cfg = (config(1, 3, 0.5, 0.3, []) if grid.n == 1
                else random_scenario(grid.n, 3, 0.5, 0.3, rng, per_step=True))
-        calls = []
-        real = approx.exact_backup
-        monkeypatch.setattr(approx, "exact_backup", lambda *args: calls.append(1) or real(*args))
+        corners, real = [], approx._branch_children
+        monkeypatch.setattr(approx, "_branch_children", lambda bf, *args: corners.append(
+            np.count_nonzero(bf) == 1) or real(bf, *args))
         lb = approx_solve_lower(cfg, grid)
         assert grid.corner_backup == from_backup
-        assert len(calls) == (len(lb.tables) - len(_reachable_quarantines(cfg.n, cfg.horizon - 1))
-                              if from_backup else 0)  # one per (t, q) below the horizon
+        if from_backup:  # children are built for interior rows only
+            assert not any(corners)
         reference = per_point_tables(cfg, grid)
         assert lb.tables.keys() == reference.keys()
         for key, vals in reference.items():
@@ -468,8 +467,9 @@ class TestCornerRows:
 
 
 class TestFlatTables:
-    """A backup whose next-stage tables all lie on their corner planes is one
-    alpha backup: it builds no branch children and solves no LP."""
+    """A backup whose next-stage tables all lie on their corner planes, each
+    over its own quarantine's face, is one alpha backup: it builds no branch
+    children and solves no LP."""
 
     CFG = ring_scenario(5, 0.3, chord_seed=1, horizon=4)
     GRID = nested_grid_ladder(5, [8], 601)[0]
@@ -515,17 +515,74 @@ class TestFlatTables:
 
     def test_flatness_check_is_exact(self, per_stage, monkeypatch):
         last = self.GRID.plane(infection_counts(self.CFG.n))  # a terminal table
-        assert self.GRID.flat(last)
+        assert not (self.GRID.split(last)[1] > 0.0).any()
         raised = last.copy()
-        raised[-1] += 1e-9  # the last point is interior
-        assert not self.GRID.flat(raised)
-        assert not BeliefGrid.regular(2, 2).flat(np.zeros(10))
+        raised[-1] += 1e-9  # the last point is interior: on {}'s face, off {1}'s
+        sweep, T = approx._backward_induction, self.CFG.horizon
+        for at, children in [(frozenset({1}), None), (EMPTY, 8 * 6)]:
+            per_stage.clear()
+            monkeypatch.setattr(approx, "_backward_induction", lambda cfg, terminal, backup: sweep(
+                cfg, lambda q: raised if q == at else terminal(q), backup))
+            approx_solve_lower(self.CFG, self.GRID)
+            if children is None:  # no child at {1} can weight the raised point
+                assert T - 1 not in per_stage
+            else:  # only the backup at q = {} interpolates, at its 8 points and 6 actions
+                lps, built = per_stage[T - 1]
+                assert lps > 0 and built == children
 
-        sweep = approx._backward_induction
-        monkeypatch.setattr(approx, "_backward_induction", lambda cfg, terminal, backup: sweep(
-            cfg, lambda q: raised if q == EMPTY else terminal(q), backup))
-        approx_solve_lower(self.CFG, self.GRID)
-        assert per_stage[self.CFG.horizon - 1][0] > 0  # the backup at q = {} interpolates
+    @pytest.mark.parametrize("chord_seed", [1, 2])
+    def test_sandwich_ring_builds_children_at_stage_1_only(self, per_stage, chord_seed):
+        # the sandwich-ring op's three grids: at stage 2, every next table
+        # lies on its corner plane over its own face
+        cfg = ring_scenario(5, 0.3, chord_seed=chord_seed, horizon=4)
+        for grid in nested_grid_ladder(5, [2, 4, 8], 601):
+            approx_solve_lower(cfg, grid)
+        assert {t: built for t, (_, built) in per_stage.items()} == {1: (2 + 4 + 8) * 6}
+
+
+def formula_tables(cfg, grid):
+    """The lower bound's sweep with no shortcut: every row, corners and rows
+    off q's face included, is the least over actions u of plane_u, the grid
+    plane of u's corner vector, plus its children's expected hull gains."""
+    c, size = infection_counts(cfg.n), 1 << cfg.n
+
+    def backup(nxt, g, q):
+        corners = {q_next: AlphaSet(vals[:size][None], [0], 0, q_next)
+                   for q_next, vals in nxt.items()}
+        planes = {u: grid.plane(sum(backs, c + cfg.lam if u else c))
+                  for u, backs in pulled_back(corners, g, q, cfg.p)}
+        return np.array([min(planes[u][r] + sum(
+            prob * grid.hull_gain(child, nxt[q_next])
+            for prob, child, q_next in _branch_children(bf, u, branches(g, q, u, cfg.p), cfg.n))
+            for u in planes) for r, bf in enumerate(every_row(grid))])
+
+    return _backward_induction(cfg, lambda q: grid.plane(c), backup)
+
+
+class TestOneFormula:
+    """Every row the lower bound can read, one on its quarantine's face, is
+    bit for bit the formula with no shortcut: the face, flat and corner
+    rules skip building children and change nothing."""
+
+    LADDERS = [nested_grid_ladder(n, [3], seed=100 + n)[0] for n in range(1, 7)]
+    REGULAR = [regular_grid(2, 2), regular_grid(2, 3), regular_grid(3, 2)]
+    # a point uniform on {1}'s face, so the backups at q = {1} interpolate
+    FACED = [BeliefGrid(4, [*LADDERS[3].points, (np.arange(16) & 1) / 8], "with-{1}-face-point")]
+    GRIDS = LADDERS + REGULAR + FACED
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=[f"n{g.n}-{g.descriptor}" for g in GRIDS])
+    @pytest.mark.parametrize("per_step", [False, True], ids=["static", "per-step"])
+    def test_on_face_rows_equal_the_formula(self, grid, per_step):
+        rng = np.random.default_rng(112)  # its graphs make corner rows read gains at n = 3
+        cfg = (config(1, 4, 0.5, 0.3, []) if grid.n == 1
+               else random_scenario(grid.n, 4, 0.5, 0.3, rng, per_step))
+        lb, reference = approx_solve_lower(cfg, grid), formula_tables(cfg, grid)
+        rows = every_row(grid)
+        assert lb.tables.keys() == reference.keys()
+        for (t, q), vals in reference.items():
+            held = quarantine_mask(q)
+            on = ~rows[:, (np.arange(1 << grid.n) & held) != held].any(axis=1)
+            assert lb.tables[(t, q)][on].tobytes() == vals[on].tobytes(), (t, q)
 
 
 def on_face(n, q, rng):
@@ -541,7 +598,7 @@ class TestFaceRule:
     values read on the face are those of the interpolating sweep."""
 
     LADDERS = [nested_grid_ladder(n, [3], seed=80 + n)[0] for n in range(3, 7)]
-    REGULAR = [BeliefGrid.regular(2, 2), BeliefGrid.regular(2, 3), BeliefGrid.regular(3, 2)]
+    REGULAR = [regular_grid(2, 2), regular_grid(2, 3), regular_grid(3, 2)]
     # one point uniform on {1}'s face keeps the LP path at q = {1}
     FACED = [BeliefGrid(5, [*LADDERS[2].points, (np.arange(32) & 1) / 16], "with-{1}-face-point")]
 

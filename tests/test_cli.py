@@ -305,10 +305,11 @@ class TestMalformedInput:
         (["bench", "--n-runs", "0"], ("--n-runs must be >= 1, got 0",)),
         (["bench", "--policies", "never,greedy,never", "--n-runs", "5"],
          ("--policies", "'never' more than once")),
+        (["sandwich", "--grid-sizes", "4,4"], ("--grid-sizes names 4 more than once: '4,4'",)),
     ], ids=["plan-token", "grid-sizes-token", "run-index", "scenario-seed-validate",
             "scenario-seed-bench", "seed-override", "plan-length", "plan-action",
             "grid-size", "policies-empty", "policies-only-commas", "probes-zero",
-            "workers-negative", "n-runs-zero", "policies-repeated"])
+            "workers-negative", "n-runs-zero", "policies-repeated", "grid-sizes-repeated"])
     def test_exit_2_names_the_value(self, argv, named, scenario_dir, tmp_path, capsys):
         scenario = scenario_path(scenario_dir)
         if "--negative-seed" in argv:
